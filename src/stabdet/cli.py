@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -118,9 +119,12 @@ def cmd_check(args) -> int:
         if args.rdm:
             rdms = parse_rdm_file(_read(args.rdm), graph.n)
         else:
-            rho = density_matrix(gens, cap=_resolve_cap(args))
+            cap = _resolve_cap(args)
+            if graph.n > cap:
+                raise ValueError(f"dense rendering cap exceeded: n={graph.n} > {cap}")
             supports = [support(m) for m in gens.generators]
-            rdms = RdmConstraintSet.from_state(rho, supports, graph.n)
+            rdms = RdmConstraintSet(graph.n, {w: stabilizer_rdm(gens, w, cap=cap)
+                                              for w in supports})
         chain = forcing_chain_pure if args.pure else forcing_chain_mixed
         report = chain(graph, gens, rdms, tol=args.tol)
     except ValueError as exc:
@@ -233,8 +237,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < args.tol < math.inf:
+        print("error: --tol must be a finite positive number", file=sys.stderr)
         return EXIT_PARSE
     try:
         return args.func(args)

@@ -17,17 +17,17 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.linalg
 
-from .f2_pauli import f2_rank, identity, multiply, support
+from .f2_pauli import dense_matrix, f2_rank, identity, multiply, support
 from .stabilizer import (
     GeneratorSet,
+    _all_nontrivial_paulis,
+    _require_valid,
     density_matrix,
     parse_density_matrix,
     format_density_matrix,
-    validate,
 )
-from .graph_state import Graph, canonical_generators, quadratic_form, sign_vector
+from .graph_state import Graph, _index_bits, canonical_generators, sign_vector
 
 DEFAULT_TOL = 1e-9
 
@@ -85,6 +85,8 @@ class RdmConstraintSet:
             dim = 1 << len(key)
             if rho.shape != (dim, dim):
                 raise ValueError(f"constraint on {sorted(key)} must be {dim}x{dim}")
+            if not np.all(np.isfinite(rho)):
+                raise ValueError(f"constraint on {sorted(key)} has a non-finite entry")
             normalized[key] = rho
         self.constraints = normalized
 
@@ -116,10 +118,6 @@ def dense_partial_trace(rho: np.ndarray, keep: Iterable[int]) -> np.ndarray:
 # Shared setup for the forcing chains.
 # ---------------------------------------------------------------------------
 
-def _index_bits(index: int, n: int) -> tuple:
-    return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def _bits_index(bits) -> int:
     out = 0
     for b in bits:
@@ -135,9 +133,7 @@ def _restrict_index(index: int, omega_sorted: list, n: int) -> int:
 def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
     """Require that the generators lie in (and hence generate) the graph
     state's stabilizer group."""
-    report = validate(gens)
-    if not report.ok:
-        raise ValueError("invalid generator set: " + "; ".join(report.problems))
+    _require_valid(gens)
     if gens.l != gens.n or gens.n != g.n:
         raise ValueError("need a full generating set on the graph's qubit count")
     canon = canonical_generators(g).generators
@@ -163,8 +159,11 @@ class _ChainSetup:
     signs: np.ndarray       # (-1)^{f} per basis index
 
 
-def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet):
+def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
+                   tol: float):
     """Common validation; returns (_ChainSetup, None) or (None, failure report)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     _check_graph_group(g, gens)
     if rdms.n != g.n:
         raise ValueError("constraint set qubit count does not match the graph")
@@ -262,7 +261,7 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     diagonal entries and the linking off-diagonal entry of the constraint on
     that generator's support.
     """
-    setup, failure = _prepare_chain(g, gens, rdms)
+    setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
     n = setup.n
@@ -320,7 +319,7 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     parameters is logged exactly once (one log step per diagonal entry, one
     per unordered off-diagonal pair).
     """
-    setup, failure = _prepare_chain(g, gens, rdms)
+    setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
     n = setup.n
@@ -467,51 +466,24 @@ class KernelBasis:
         return len(self.elements)
 
 
-def _hermitian_basis(n: int):
-    """Hilbert-Schmidt orthonormal basis of the real space of Hermitian
-    2^n x 2^n matrices: diagonal units, symmetric and antisymmetric pairs."""
-    dim = 1 << n
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, i] = 1.0
-        yield m
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = inv_sqrt2
-            m[j, i] = inv_sqrt2
-            yield m
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1j * inv_sqrt2
-            m[j, i] = 1j * inv_sqrt2
-            yield m
-
-
 def rdm_kernel(n: int, omegas: Iterable) -> KernelBasis:
     """Basis of the space of Hermitian perturbations invisible to the given
-    marginals: trace zero and vanishing partial trace onto every subset."""
+    marginals: trace zero and vanishing partial trace onto every subset.
+
+    A non-identity Pauli string has trace zero, and its partial trace onto
+    omega vanishes unless its support lies inside omega, so the kernel is
+    spanned by the Pauli strings supported inside no omega, scaled by
+    2^{-n/2} to Hilbert-Schmidt norm one.
+    """
     if n > KERNEL_CAP:
         raise ValueError(f"kernel analysis capped at n = {KERNEL_CAP}")
-    omegas = [sorted(set(int(j) for j in w)) for w in omegas]
+    omegas = [frozenset(int(j) for j in w) for w in omegas]
     for w in omegas:
-        if not w or w[0] < 0 or w[-1] >= n:
-            raise ValueError(f"bad index set {w} for {n} qubits")
-    basis = list(_hermitian_basis(n))
-    columns = []
-    for b in basis:
-        col = [np.trace(b).real]
-        for w in omegas:
-            pt = dense_partial_trace(b, w)
-            col.extend(pt.real.ravel())
-            col.extend(pt.imag.ravel())
-        columns.append(col)
-    a = np.array(columns).T
-    null = scipy.linalg.null_space(a)
-    elements = []
-    for k in range(null.shape[1]):
-        m = sum(c * b for c, b in zip(null[:, k], basis))
-        elements.append(m)
+        if not w or min(w) < 0 or max(w) >= n:
+            raise ValueError(f"bad index set {sorted(w)} for {n} qubits")
+    scale = 1.0 / math.sqrt(1 << n)
+    elements = [scale * dense_matrix(p) for p in _all_nontrivial_paulis(n)
+                if not any(support(p) <= w for w in omegas)]
     return KernelBasis(n, elements)
 
 
@@ -621,6 +593,8 @@ def parse_rdm_file(text: str, n: int) -> RdmConstraintSet:
             omega = frozenset(int(tok) for tok in line[6:].split(","))
         except ValueError:
             raise ValueError(f"line {i + 1}: bad index list {line!r}") from None
+        if omega in constraints:
+            raise ValueError(f"line {i + 1}: repeated block for omega {sorted(omega)}")
         i += 1
         while i < len(lines) and not lines[i].strip():
             i += 1

@@ -18,7 +18,7 @@ from .f2_pauli import (
     identity,
     multiply,
 )
-from .stabilizer import GeneratorSet, recombine_generators, validate
+from .stabilizer import GeneratorSet, _require_valid, recombine_generators
 
 
 class Graph:
@@ -192,9 +192,7 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
     rank), recombines by the inverse of the x-block, clears the diagonal with
     quarter-phase gates, and absorbs generator signs into Pauli corrections.
     """
-    report = validate(gens)
-    if not report.ok:
-        raise ValueError("invalid generator set: " + "; ".join(report.problems))
+    _require_valid(gens)
     if gens.l != gens.n:
         raise ValueError(f"need a full generating set: l={gens.l}, n={gens.n}")
     n = gens.n

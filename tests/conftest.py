@@ -96,5 +96,26 @@ def ptrace_by_summation(rho, keep, n):
     return out
 
 
+def hermitian_basis(n):
+    """Hilbert-Schmidt orthonormal basis of the real space of Hermitian
+    2^n x 2^n matrices: diagonal units, symmetric and antisymmetric pairs."""
+    dim = 1 << n
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[i, i] = 1.0
+        yield m
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = inv_sqrt2
+            m[j, i] = inv_sqrt2
+            yield m
+            m = np.zeros((dim, dim), dtype=complex)
+            m[i, j] = -1j * inv_sqrt2
+            m[j, i] = 1j * inv_sqrt2
+            yield m
+
+
 def group_key(ops):
     return frozenset((m.phase_exp, m.u, m.v) for m in ops)

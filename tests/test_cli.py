@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stabdet
 from stabdet.cli import main
 from stabdet.determination import RdmConstraintSet, format_rdm_file
 from stabdet.graph_state import Graph, canonical_generators, format_graph_file
@@ -48,6 +54,15 @@ def test_state_single_edge_stdout(tmp_path, capsys):
     assert main(["state", str(path)]) == 0
     out = capsys.readouterr().out
     assert "dim=4" in out
+
+
+def test_state_zero_vertices(tmp_path, capsys):
+    path = tmp_path / "empty.graph"
+    path.write_text("0\n")
+    assert main(["state", str(path)]) == 0
+    out = capsys.readouterr().out.split()
+    assert out.count("dim=1") == 2
+    assert out.count("1+0j") == 2
 
 
 def test_state_malformed_edge_line(tmp_path, capsys):
@@ -118,6 +133,22 @@ def test_check_perturbed_rdms_inconsistent(p4_file, tmp_path, capsys):
     assert "rule" in out
 
 
+def test_non_finite_rdm_is_config_error(p4_file, tmp_path, capsys):
+    gens = canonical_generators(Graph.path(4))
+    text = format_rdm_file(RdmConstraintSet.from_state(
+        density_matrix(gens), [support(m) for m in gens.generators], 4))
+    rdm_path = tmp_path / "nan.rdm"
+    rdm_path.write_text(re.sub(r"\S+[+-]\S+j", "nan+0j", text))
+    for mode in ([], ["--pure"]):
+        assert main(["check", p4_file, "--rdm", str(rdm_path)] + mode) == 2
+        assert "non-finite" in capsys.readouterr().err
+    # a NaN copy of one block appended after the exact family
+    first = text.split("\n\n")[0]
+    rdm_path.write_text(text + "\n" + re.sub(r"\S+[+-]\S+j", "nan+0j", first))
+    assert main(["check", p4_file, "--rdm", str(rdm_path)]) == 2
+    assert "repeated block" in capsys.readouterr().err
+
+
 def test_minimal_command(ghz3_file, p4_file, tmp_path, capsys):
     assert main(["minimal", ghz3_file]) == 0
     assert capsys.readouterr().out.strip() == "0,1,2"
@@ -155,12 +186,16 @@ def test_missing_file_is_config_error(capsys):
 
 
 def test_bad_tol_is_config_error(p4_file, capsys):
-    assert main(["check", p4_file, "--tol", "-1"]) == 2
+    for tol in ("-1", "nan", "inf"):
+        assert main(["check", p4_file, "--tol", tol]) == 2
 
 
 def test_cap_env_override(p4_file, monkeypatch, capsys):
     monkeypatch.setenv("STABDET_CAP", "2")
     assert main(["state", p4_file]) == 2
+    assert "cap" in capsys.readouterr().err
+    monkeypatch.setenv("STABDET_CAP", "3")
+    assert main(["check", p4_file]) == 2
     assert "cap" in capsys.readouterr().err
 
 
@@ -168,3 +203,12 @@ def test_cap_flag_beats_env(p4_file, monkeypatch, tmp_path):
     monkeypatch.setenv("STABDET_CAP", "2")
     out = tmp_path / "out"
     assert main(["state", p4_file, "--cap", "10", "--out", str(out)]) == 0
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(stabdet.__file__).resolve().parents[1])
+    code = ("import sys, stabdet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"

@@ -22,7 +22,12 @@ from stabdet.determination import (
     verify_counterexample,
 )
 
-from conftest import ptrace_by_summation, random_graph, random_invertible_f2
+from conftest import (
+    hermitian_basis,
+    ptrace_by_summation,
+    random_graph,
+    random_invertible_f2,
+)
 
 P4 = Graph.path(4)
 P4_GENS = canonical_generators(P4)
@@ -138,6 +143,16 @@ def test_pure_chain_rejects_non_group_generators():
         forcing_chain_pure(P4, canonical_generators(Graph.star(4)), exact_rdms(P4))
 
 
+def test_non_finite_input_is_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        RdmConstraintSet(4, {frozenset({0, 1}): np.full((4, 4), np.nan + 0j)})
+    rdms = exact_rdms(P4)
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        for tol in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match="tol"):
+                chain(P4, P4_GENS, rdms, tol=tol)
+
+
 # --- mixed chain ---
 
 def test_mixed_chain_p4():
@@ -221,21 +236,22 @@ def test_kernel_single_qubit_is_trivial():
 
 
 def test_kernel_dimension_by_rank_nullity():
-    omegas = P4_SUPPORTS
-    kb = rdm_kernel(4, omegas)
-    # independent recount: assemble the constraint operator and use the
-    # generic rank routine
-    from stabdet.determination import _hermitian_basis
-    rows = []
-    for b in _hermitian_basis(4):
-        col = [np.trace(b).real]
-        for w in omegas:
-            pt = ptrace_by_summation(b, sorted(w), 4)
-            col.extend(pt.real.ravel())
-            col.extend(pt.imag.ravel())
-        rows.append(col)
-    a = np.array(rows).T
-    assert kb.dimension == 4 ** 4 - np.linalg.matrix_rank(a)
+    for n, omegas in ((4, P4_SUPPORTS),
+                      (4, [{0, 1, 2}, {0, 3}, {1, 3}, {2, 3}]),
+                      (3, [{0, 1}, {1, 2}])):
+        kb = rdm_kernel(n, omegas)
+        # independent recount: assemble the constraint operator and use the
+        # generic rank routine
+        rows = []
+        for b in hermitian_basis(n):
+            col = [np.trace(b).real]
+            for w in omegas:
+                pt = ptrace_by_summation(b, sorted(w), n)
+                col.extend(pt.real.ravel())
+                col.extend(pt.imag.ravel())
+            rows.append(col)
+        a = np.array(rows).T
+        assert kb.dimension == 4 ** n - np.linalg.matrix_rank(a)
 
 
 def test_kernel_basis_elements_are_invisible():
@@ -321,3 +337,10 @@ def test_rdm_file_round_trip():
 def test_rdm_file_rejects_garbage():
     with pytest.raises(ValueError):
         parse_rdm_file("not a block\n", 2)
+
+
+def test_rdm_file_rejects_duplicate_block():
+    block = "dim=4\n" + "0.25+0j 0+0j 0+0j 0+0j\n" * 4
+    text = "omega: 0,1\n" + block + "omega: 1,0\n" + block
+    with pytest.raises(ValueError, match="line 7: repeated block"):
+        parse_rdm_file(text, 2)

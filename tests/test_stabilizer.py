@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from stabdet.f2_pauli import dense_matrix, format_pauli, identity, parse_pauli, support
+from stabdet.f2_pauli import (
+    PauliOperator,
+    dense_matrix,
+    format_pauli,
+    identity,
+    parse_pauli,
+    support,
+)
 from stabdet.stabilizer import (
     GeneratorSet,
     check_density_matrix,
@@ -161,6 +168,26 @@ def test_rdm_matches_partial_trace_random():
         got = stabilizer_rdm(gens, omega)
         want = ptrace_by_summation(rho, omega, n)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_rdm_beyond_enumeration_cap():
+    # a 4-qubit state padded with |0> on 36 more qubits: l = 40 generators,
+    # yet every S_omega inside qubits 0-3 has at most 2^|omega| elements
+    rng = np.random.default_rng(40)
+    small = random_stabilizer_set(4, rng)
+    pad = (0,) * 36
+    ops = [PauliOperator(m.phase_exp, m.u + pad, m.v + pad) for m in small.generators]
+    ops += [PauliOperator(0, tuple(int(j == q) for j in range(40)), (0,) * 40)
+            for q in range(4, 40)]
+    gens = recombine_generators(GeneratorSet(tuple(ops), 40),
+                                random_invertible_f2(40, rng))
+    eye = np.eye(16, dtype=complex)
+    rho = eye
+    for m in small.generators:
+        rho = rho @ (eye + dense_matrix(m)) / 2
+    for omega in ([0, 1], [1, 2, 3], [0, 2, 3]):
+        want = ptrace_by_summation(rho, omega, 4)
+        assert np.max(np.abs(stabilizer_rdm(gens, omega) - want)) < 1e-12
 
 
 def test_rdm_rejects_empty_omega():
