@@ -116,12 +116,13 @@ def cmd_check(args) -> int:
     try:
         graph = parse_graph_file(_read(args.graph))
         gens = canonical_generators(graph)
+        # Both chains build 2^n-sized objects, whichever family they check.
+        cap = _resolve_cap(args)
+        if graph.n > cap:
+            raise ValueError(f"dense rendering cap exceeded: n={graph.n} > {cap}")
         if args.rdm:
             rdms = parse_rdm_file(_read(args.rdm), graph.n)
         else:
-            cap = _resolve_cap(args)
-            if graph.n > cap:
-                raise ValueError(f"dense rendering cap exceeded: n={graph.n} > {cap}")
             supports = [support(m) for m in gens.generators]
             rdms = RdmConstraintSet(graph.n, {w: stabilizer_rdm(gens, w, cap=cap)
                                               for w in supports})

@@ -18,7 +18,14 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .f2_pauli import dense_matrix, f2_rank, identity, multiply, support
+from .f2_pauli import (
+    DEFAULT_TOL,
+    KERNEL_CAP,
+    dense_matrix,
+    eliminate,
+    gather_bits,
+    support,
+)
 from .stabilizer import (
     GeneratorSet,
     _all_nontrivial_paulis,
@@ -26,10 +33,10 @@ from .stabilizer import (
     density_matrix,
     parse_density_matrix,
     format_density_matrix,
+    product,
+    stabilizer_rdm,
 )
-from .graph_state import Graph, _index_bits, canonical_generators, sign_vector
-
-DEFAULT_TOL = 1e-9
+from .graph_state import Graph, canonical_generators, sign_vector
 
 DETERMINED = "Determined"
 INCONSISTENT = "Inconsistent"
@@ -118,18 +125,6 @@ def dense_partial_trace(rho: np.ndarray, keep: Iterable[int]) -> np.ndarray:
 # Shared setup for the forcing chains.
 # ---------------------------------------------------------------------------
 
-def _bits_index(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | (int(b) & 1)
-    return out
-
-
-def _restrict_index(index: int, omega_sorted: list, n: int) -> int:
-    bits = _index_bits(index, n)
-    return _bits_index(bits[j] for j in omega_sorted)
-
-
 def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
     """Require that the generators lie in (and hence generate) the graph
     state's stabilizer group."""
@@ -138,13 +133,9 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
         raise ValueError("need a full generating set on the graph's qubit count")
     canon = canonical_generators(g).generators
     for s, m in enumerate(gens.generators):
-        if not any(m.v):
+        if not m.v:
             raise ValueError(f"generator {s} has zero x-part; graph-form input required")
-        prod = identity(g.n)
-        for t in range(g.n):
-            if m.v[t]:
-                prod = multiply(prod, canon[t])
-        if prod != m:
+        if product(canon, m.v, g.n) != m:
             raise ValueError(f"generator {s} is not an element of the graph's group")
 
 
@@ -152,10 +143,9 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
 class _ChainSetup:
     n: int
     omegas: list            # sorted index list per generator
-    r_vectors: list         # x-part bit tuple per generator
     r_indices: list         # x-part as basis index per generator
     matrices: list          # constraint matrix restricted to each omega
-    coords: list            # per basis index: exponent tuple in the r-basis
+    coords: list            # per basis index: exponent mask in the r-basis, bit s for r_s
     signs: np.ndarray       # (-1)^{f} per basis index
 
 
@@ -190,28 +180,24 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
             matrices.append(dense_partial_trace(full, inner))
         omegas.append(sorted(omega))
 
-    r_vectors = [m.v for m in gens.generators]
-    basis = np.array(r_vectors, dtype=np.uint8).T
-    if f2_rank(basis) != n:
+    r_indices = [m.v for m in gens.generators]
+    if len(eliminate(r_indices)[0]) != n:
         report = ReconstructionReport(
             UNDERDETERMINED, None, [ForcingStep((), RULE_BASIS)],
             message="generator x-parts do not span the full space")
         return None, report
 
-    # Exponent tuple of every basis index in the r-basis, by direct expansion.
-    coords = [None] * (1 << n)
-    for code in range(1 << n):
-        acc = 0
-        for s in range(n):
-            if (code >> s) & 1:
-                acc ^= _bits_index(r_vectors[s])
-        x = tuple((code >> s) & 1 for s in range(n))
-        coords[acc] = x
+    # span[code] is the basis index sum_s code_s r_s; coords inverts it.
+    span = [0]
+    for r in r_indices:
+        span += [idx ^ r for idx in span]
+    coords = [0] * (1 << n)
+    for code, idx in enumerate(span):
+        coords[idx] = code
     setup = _ChainSetup(
         n=n,
         omegas=omegas,
-        r_vectors=list(r_vectors),
-        r_indices=[_bits_index(v) for v in r_vectors],
+        r_indices=r_indices,
         matrices=matrices,
         coords=coords,
         signs=sign_vector(g),
@@ -222,14 +208,8 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
 def _forcing_order(setup: _ChainSetup):
     """Basis indices ordered by exponent weight in the r-basis, then by index;
     the highest set exponent is the generator used to force each one."""
-    items = []
-    for idx in range(1 << setup.n):
-        x = setup.coords[idx]
-        weight = sum(x)
-        top = max((s for s in range(setup.n) if x[s]), default=None)
-        items.append((weight, idx, top))
-    items.sort(key=lambda t: (t[0], t[1]))
-    return items
+    return sorted((x.bit_count(), idx, x.bit_length() - 1 if x else None)
+                  for idx, x in enumerate(setup.coords))
 
 
 def _expected_translation(setup: _ChainSetup, s: int, idx: int) -> float:
@@ -242,8 +222,8 @@ def _expected_translation(setup: _ChainSetup, s: int, idx: int) -> float:
 def _constraint_entries(setup: _ChainSetup, s: int, idx: int):
     """(diag at idx, diag at idx + r_s, off-diagonal entry) of constraint s."""
     omega = setup.omegas[s]
-    i_w = _restrict_index(idx, omega, setup.n)
-    j_w = _restrict_index(idx ^ setup.r_indices[s], omega, setup.n)
+    i_w = gather_bits(idx, omega, setup.n)
+    j_w = gather_bits(idx ^ setup.r_indices[s], omega, setup.n)
     mat = setup.matrices[s]
     return mat[i_w, i_w], mat[j_w, j_w], mat[i_w, j_w]
 
@@ -403,8 +383,7 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     for weight, j, top in order:
         if weight < 2:
             continue
-        x = setup.coords[j]
-        ks = [s for s in range(n) if x[s]]
+        ks = [s for s in range(n) if (setup.coords[j] >> s) & 1]
         partial = 0
         for k in ks[:-1]:
             partial ^= setup.r_indices[k]
@@ -450,8 +429,6 @@ def _check_unused_entries(setup: _ChainSetup, state: np.ndarray,
 # Independent analysis oracles.
 # ---------------------------------------------------------------------------
 
-KERNEL_CAP = 6
-
 
 @dataclass
 class KernelBasis:
@@ -488,7 +465,7 @@ def rdm_kernel(n: int, omegas: Iterable) -> KernelBasis:
 
 
 def uniqueness_by_enumeration(target: np.ndarray, omegas: Iterable,
-                              n: int, tol: float = 1e-9) -> bool:
+                              n: int, tol: float = DEFAULT_TOL) -> bool:
     """True iff no other pure stabilizer state shares all marginals on the
     given subsets; exhaustive over the full n-qubit stabilizer-state list."""
     from .stabilizer import enumerate_stabilizer_states
@@ -539,26 +516,17 @@ def verify_counterexample(tol: float = DEFAULT_TOL) -> CounterexampleReport:
     graph state."""
     g = Graph.path(4)
     gens = canonical_generators(g)
-    rho_g = density_matrix(gens)
     impostor = GeneratorSet.from_strings(4, COUNTEREXAMPLE_IMPOSTOR_GENERATORS)
-    rho_i = density_matrix(impostor)
+    dist = trace_distance(density_matrix(gens), density_matrix(impostor))
 
-    dist = trace_distance(rho_g, rho_i)
-    shared = {}
-    for w in COUNTEREXAMPLE_SHARED_SUPPORTS:
-        dev = float(np.max(np.abs(dense_partial_trace(rho_g, w)
-                                  - dense_partial_trace(rho_i, w))))
-        shared[frozenset(w)] = dev
+    def deviation(w):
+        return float(np.max(np.abs(stabilizer_rdm(gens, w) - stabilizer_rdm(impostor, w))))
 
-    distinguishing = {}
-    for m in gens.generators:
-        w = support(m)
-        dev = float(np.max(np.abs(dense_partial_trace(rho_g, w)
-                                  - dense_partial_trace(rho_i, w))))
-        distinguishing[w] = dev
-
+    shared = {frozenset(w): deviation(w) for w in COUNTEREXAMPLE_SHARED_SUPPORTS}
     full_supports = [support(m) for m in gens.generators]
-    rdms = RdmConstraintSet.from_state(rho_g, full_supports, 4)
+    distinguishing = {w: deviation(w) for w in full_supports}
+
+    rdms = RdmConstraintSet(4, {w: stabilizer_rdm(gens, w) for w in full_supports})
     report = forcing_chain_mixed(g, gens, rdms, tol=tol)
 
     return CounterexampleReport(

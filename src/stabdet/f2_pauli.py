@@ -1,55 +1,46 @@
-"""Pauli operators in binary symplectic form, plus GF(2) linear algebra.
+"""Pauli operators as bit masks, plus GF(2) linear algebra on int rows.
 
 An n-qubit Pauli operator is a phase (one of 1, i, -1, -i, stored exactly as
-an exponent of i) together with two length-n bit vectors ``u`` (z-part) and
-``v`` (x-part).  Per qubit the encoding is
+an exponent of i) together with two n-bit masks ``u`` (z-part) and ``v``
+(x-part), held as Python ints.  Per qubit the encoding is
 
     (0, 0) -> I,   (0, 1) -> X,   (1, 0) -> Z,   (1, 1) -> Y.
 
-Qubit 0 is the most significant bit of a computational-basis index, so the
-bit string (x_0, ..., x_{n-1}) names basis state sum(x_j << (n-1-j)).
+Qubit j sits at bit n-1-j, so qubit 0 is the most significant bit, exactly as
+in a computational-basis index: the bit string (x_0, ..., x_{n-1}) names
+basis state sum(x_j << (n-1-j)), and ``op.v`` is the basis-index translation
+of the operator.  Products and commutation are popcounts of these masks (the
+packing of Aaronson & Gottesman 2004, quant-ph/0406196).
+
+GF(2) matrices are lists of int rows with column c of a w-column matrix at
+bit w-1-c; the ``f2_*`` functions accept and return numpy 0/1 arrays and
+convert at that boundary only.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Dense rendering caps (memory bound).  Vectors of dimension 2^n are allowed
-# up to n = 12, full 2^n x 2^n matrices up to n = 10.
-DENSE_VECTOR_CAP = 12
-DENSE_MATRIX_CAP = 10
+# Caps (in qubits, or generators for ENUMERATION_CAP) and tolerances.
+DENSE_VECTOR_CAP = 12         # 2^n vectors
+DENSE_MATRIX_CAP = 10         # 2^n x 2^n matrices
+ENUMERATION_CAP = 20          # enumerate_group lists 2^l elements
+KERNEL_CAP = 6                # rdm_kernel returns up to 4^n matrices
+STATE_ENUMERATION_CAP = 3     # enumerate_stabilizer_states is exhaustive
+
+DEFAULT_TOL = 1e-9            # constraint checks in the forcing chains
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+PSD_TOL = 1e-9
 
 PHASES = (1, 1j, -1, -1j)  # i**k for k = 0..3
 
-_SINGLE_QUBIT = {
-    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
-    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
 _CHAR_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_CHAR = {bits: ch for ch, bits in _CHAR_TO_BITS.items()}
-
-
-def _build_product_phase_table() -> dict:
-    """Phase exponent k in sigma_a sigma_b = i^k sigma_{a+b}, from dense 2x2 products."""
-    table = {}
-    for a, ma in _SINGLE_QUBIT.items():
-        for b, mb in _SINGLE_QUBIT.items():
-            c = (a[0] ^ b[0], a[1] ^ b[1])
-            prod = ma @ mb
-            for k, phase in enumerate(PHASES):
-                if np.array_equal(prod, phase * _SINGLE_QUBIT[c]):
-                    table[a, b] = k
-                    break
-    return table
-
-
-_PRODUCT_PHASE = _build_product_phase_table()
 
 
 @dataclass(frozen=True)
@@ -57,22 +48,19 @@ class PauliOperator:
     """A phased n-qubit Pauli operator.
 
     ``phase_exp`` is the exponent k of the overall phase i^k; ``u`` and ``v``
-    are tuples of bits (z-part and x-part).
+    are the z-part and x-part masks, qubit j at bit n-1-j.
     """
 
     phase_exp: int
-    u: tuple
-    v: tuple
+    u: int
+    v: int
+    n: int
 
     def __post_init__(self):
-        if len(self.u) != len(self.v):
-            raise ValueError("z-part and x-part must have equal length")
         if self.phase_exp not in (0, 1, 2, 3):
             raise ValueError("phase exponent must be 0..3")
-
-    @property
-    def n(self) -> int:
-        return len(self.u)
+        if not (0 <= self.u < 1 << self.n and 0 <= self.v < 1 << self.n):
+            raise ValueError(f"z-part and x-part must be {self.n}-bit masks")
 
     @property
     def phase(self) -> complex:
@@ -88,51 +76,71 @@ class PauliOperator:
 
 
 def identity(n: int) -> PauliOperator:
-    return PauliOperator(0, (0,) * n, (0,) * n)
+    return PauliOperator(0, 0, 0, n)
+
+
+def gather_bits(x: int, positions: Iterable[int], n: int) -> int:
+    """The bits of an n-bit mask at the given qubit positions, packed in the
+    order given (first position most significant)."""
+    out = 0
+    for j in positions:
+        out = (out << 1) | ((x >> (n - 1 - j)) & 1)
+    return out
+
+
+def set_positions(x: int, n: int) -> list:
+    """Ascending qubit (or row) indices whose bit is set in an n-bit mask."""
+    out = []
+    while x:
+        h = x.bit_length() - 1
+        out.append(n - 1 - h)
+        x ^= 1 << h
+    return out
 
 
 def to_binary(op: PauliOperator) -> tuple:
-    """Return the (u, v) pair of the operator; the phase is discarded."""
-    return op.u, op.v
+    """Return the (u, v) pair of bit tuples of the operator; the phase is discarded."""
+    return tuple(tuple((x >> (op.n - 1 - j)) & 1 for j in range(op.n)) for x in (op.u, op.v))
 
 
 def from_binary(u: Sequence[int], v: Sequence[int], phase: complex = 1) -> PauliOperator:
     """Build a Pauli operator from its binary parts and an explicit phase."""
-    u = tuple(int(b) & 1 for b in u)
-    v = tuple(int(b) & 1 for b in v)
+    u, v = [int(b) & 1 for b in u], [int(b) & 1 for b in v]
     if len(u) != len(v):
         raise ValueError("z-part and x-part must have equal length")
+    u_mask = v_mask = 0
+    for uj, vj in zip(u, v):
+        u_mask, v_mask = (u_mask << 1) | uj, (v_mask << 1) | vj
     for k, p in enumerate(PHASES):
         if phase == p:
-            return PauliOperator(k, u, v)
+            return PauliOperator(k, u_mask, v_mask, len(u))
     raise ValueError(f"phase must be one of 1, i, -1, -i, got {phase!r}")
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Exact product of two Pauli operators of equal size."""
+    """Exact product of two Pauli operators of equal size.
+
+    With each operator written as i^{k + |u&v|} X^v Z^u, moving Z^{u_a} past
+    X^{v_b} costs (-1)^{|u_a & v_b|}.
+    """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    k = a.phase_exp + b.phase_exp
-    for ua, va, ub, vb in zip(a.u, a.v, b.u, b.v):
-        k += _PRODUCT_PHASE[(ua, va), (ub, vb)]
-    u = tuple(x ^ y for x, y in zip(a.u, b.u))
-    v = tuple(x ^ y for x, y in zip(a.v, b.v))
-    return PauliOperator(k % 4, u, v)
+    u, v = a.u ^ b.u, a.v ^ b.v
+    k = (a.phase_exp + b.phase_exp + (a.u & a.v).bit_count() + (b.u & b.v).bit_count()
+         + 2 * (a.u & b.v).bit_count() - (u & v).bit_count())
+    return PauliOperator(k % 4, u, v, a.n)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """True iff the symplectic inner product u_a.v_b + v_a.u_b vanishes mod 2."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    s = 0
-    for ua, va, ub, vb in zip(a.u, a.v, b.u, b.v):
-        s ^= (ua & vb) ^ (va & ub)
-    return s == 0
+    return ((a.u & b.v) ^ (a.v & b.u)).bit_count() % 2 == 0
 
 
 def support(op: PauliOperator) -> frozenset:
     """Qubit indices where the operator acts non-trivially (0-based)."""
-    return frozenset(j for j in range(op.n) if (op.u[j], op.v[j]) != (0, 0))
+    return frozenset(set_positions(op.u | op.v, op.n))
 
 
 def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
@@ -140,19 +148,29 @@ def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
     idx = sorted(set(int(j) for j in omega))
     if idx and (idx[0] < 0 or idx[-1] >= op.n):
         raise ValueError(f"index out of range for {op.n} qubits: {idx}")
-    u = tuple(op.u[j] for j in idx)
-    v = tuple(op.v[j] for j in idx)
-    return PauliOperator(op.phase_exp, u, v)
+    return PauliOperator(op.phase_exp, gather_bits(op.u, idx, op.n),
+                         gather_bits(op.v, idx, op.n), len(idx))
+
+
+def nonzero_entries(op: PauliOperator) -> tuple:
+    """(columns, values) of the one nonzero entry in each row of the dense
+    matrix: row r holds i^{k - |u&v|} (-1)^{|u&r|} at column r ^ v."""
+    rows = np.arange(1 << op.n, dtype=np.int64)
+    parity = rows & op.u
+    for shift in (32, 16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    phase = PHASES[(op.phase_exp - (op.u & op.v).bit_count()) % 4]
+    return rows ^ op.v, phase * (1 - 2 * (parity & 1))
 
 
 def dense_matrix(op: PauliOperator, cap: int = DENSE_MATRIX_CAP) -> np.ndarray:
     """Dense 2^n x 2^n complex matrix of the operator."""
     if op.n > cap:
         raise ValueError(f"dense rendering cap exceeded: n={op.n} > {cap}")
-    m = np.array([[1]], dtype=complex)
-    for uj, vj in zip(op.u, op.v):
-        m = np.kron(m, _SINGLE_QUBIT[uj, vj])
-    return PHASES[op.phase_exp] * m
+    cols, values = nonzero_entries(op)
+    m = np.zeros((len(cols), len(cols)), dtype=complex)
+    m[np.arange(len(cols)), cols] = values
+    return m
 
 
 def parse_pauli(text: str) -> PauliOperator:
@@ -166,14 +184,13 @@ def parse_pauli(text: str) -> PauliOperator:
         s = s[1:]
     if not s:
         raise ValueError(f"empty Pauli string in {text!r}")
-    u, v = [], []
+    u = v = 0
     for ch in s:
         if ch not in _CHAR_TO_BITS:
             raise ValueError(f"invalid Pauli character {ch!r} in {text!r}")
         uj, vj = _CHAR_TO_BITS[ch]
-        u.append(uj)
-        v.append(vj)
-    return PauliOperator(phase_exp, tuple(u), tuple(v))
+        u, v = (u << 1) | uj, (v << 1) | vj
+    return PauliOperator(phase_exp, u, v, len(s))
 
 
 def format_pauli(op: PauliOperator) -> str:
@@ -181,12 +198,64 @@ def format_pauli(op: PauliOperator) -> str:
     if op.phase_exp in (1, 3):
         raise ValueError("imaginary phase has no text form")
     sign = "-" if op.phase_exp == 2 else ""
-    return sign + "".join(_BITS_TO_CHAR[uj, vj] for uj, vj in zip(op.u, op.v))
+    return sign + "".join(_BITS_TO_CHAR[bits] for bits in zip(*to_binary(op)))
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra on numpy uint8 matrices.
+# GF(2) linear algebra on int rows.
 # ---------------------------------------------------------------------------
+
+def eliminate(rows: Iterable, key=lambda row: row, combine=operator.xor,
+              reduced: bool = False) -> tuple:
+    """Gaussian elimination over GF(2), one row at a time.
+
+    ``key`` maps a row to its int mask and ``combine`` adds two rows, XORing
+    their masks: rows are masks by default, Pauli operators under
+    ``multiply`` work too.  Returns (pivots, dependent): the row leading at
+    each pivot bit, and in input order the rows the earlier pivots cleared.
+    With ``reduced`` the pivots form the unique reduced row echelon form.
+    """
+    pivots, dependent = {}, []
+    for row in rows:
+        k = key(row)
+        while k:
+            h = k.bit_length() - 1
+            if h not in pivots:
+                pivots[h] = row
+                break
+            row = combine(row, pivots[h])
+            k = key(row)
+        else:
+            dependent.append(row)
+    if reduced:
+        below = 0
+        for h in sorted(pivots):
+            row = pivots[h]
+            k = key(row) & below
+            while k:
+                row = combine(row, pivots[k.bit_length() - 1])
+                k = key(row) & below
+            pivots[h] = row
+            below |= 1 << h
+    return pivots, dependent
+
+
+def pack_rows(a: np.ndarray) -> list:
+    """Rows of a 2-d 0/1 uint8 array as ints, column c at bit cols-1-c."""
+    cols = a.shape[1]
+    packed = np.packbits(a, axis=1)
+    pad = 8 * packed.shape[1] - cols
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+
+
+def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
+    """Inverse of pack_rows: a len(rows) x cols uint8 array."""
+    nbytes = (cols + 7) // 8
+    pad = 8 * nbytes - cols
+    buf = b"".join((r << pad).to_bytes(nbytes, "big") for r in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=cols)
+
 
 def _as_f2(m) -> np.ndarray:
     a = np.array(m, dtype=np.uint8) % 2
@@ -196,46 +265,25 @@ def _as_f2(m) -> np.ndarray:
 
 
 def f2_row_reduce(m) -> tuple:
-    """Reduced row echelon form over GF(2) and the list of pivot columns.
-
-    Pivot choice is deterministic: for each column, the first remaining row
-    (lowest index) holding a 1.
-    """
-    a = _as_f2(m).copy()
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    """Reduced row echelon form over GF(2) and the list of pivot columns,
+    which are the columns outside the span of those before them."""
+    a = _as_f2(m)
+    pivots, _ = eliminate(pack_rows(a), reduced=True)
+    lead = sorted(pivots, reverse=True)
+    rows = [pivots[h] for h in lead] + [0] * (a.shape[0] - len(lead))
+    return unpack_rows(rows, a.shape[1]), [a.shape[1] - 1 - h for h in lead]
 
 
 def f2_rank(m) -> int:
     """Rank over GF(2) via Gaussian elimination."""
-    _, pivots = f2_row_reduce(m)
-    return len(pivots)
+    return len(eliminate(pack_rows(_as_f2(m)))[0])
 
 
 def f2_solve(m, rhs):
     """Some x with m @ x = rhs over GF(2), or None if inconsistent.
 
-    Deterministic: free variables are set to 0 under the fixed lowest-index
-    pivot order, which makes the returned solution canonical.
+    Deterministic: free variables are set to 0 in the reduced row echelon
+    form, which makes the returned solution canonical.
     """
     a = _as_f2(m)
     b = np.array(rhs, dtype=np.uint8).reshape(-1) % 2

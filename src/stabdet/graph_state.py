@@ -12,13 +12,12 @@ import numpy as np
 from .f2_pauli import (
     DENSE_VECTOR_CAP,
     PauliOperator,
-    f2_inverse,
-    f2_null_space,
-    f2_rank,
-    identity,
+    eliminate,
     multiply,
+    pack_rows,
+    unpack_rows,
 )
-from .stabilizer import GeneratorSet, _require_valid, recombine_generators
+from .stabilizer import GeneratorSet, _require_valid
 
 
 class Graph:
@@ -72,12 +71,9 @@ class Graph:
 
 def canonical_generators(g: Graph) -> GeneratorSet:
     """Generator s has X at vertex s, Z at its neighbours, identity elsewhere."""
-    gens = []
-    for s in range(g.n):
-        u = tuple(int(g.theta[s, t]) for t in range(g.n))
-        v = tuple(1 if t == s else 0 for t in range(g.n))
-        gens.append(PauliOperator(0, u, v))
-    return GeneratorSet(tuple(gens), g.n)
+    n = g.n
+    return GeneratorSet(tuple(PauliOperator(0, u, 1 << (n - 1 - s), n)
+                              for s, u in enumerate(pack_rows(g.theta))), n)
 
 
 def quadratic_form(g: Graph, x: Sequence[int]) -> int:
@@ -89,15 +85,11 @@ def quadratic_form(g: Graph, x: Sequence[int]) -> int:
     return int(x @ upper @ x) % 2
 
 
-def _index_bits(index: int, n: int) -> tuple:
-    """Bits of a basis index, qubit 0 as the most significant bit."""
-    return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
-
-
 def sign_vector(g: Graph) -> np.ndarray:
     """(-1)^{f(x)} for every basis index x, as a length-2^n array of +-1."""
-    return np.array([1 - 2 * quadratic_form(g, _index_bits(i, g.n))
-                     for i in range(1 << g.n)], dtype=float)
+    x = (np.arange(1 << g.n)[:, None] >> np.arange(g.n - 1, -1, -1)) & 1
+    f = np.einsum("ij,jk,ik->i", x, np.triu(g.theta, k=1).astype(np.int64), x) % 2
+    return (1 - 2 * f).astype(float)
 
 
 def state_vector(g: Graph, cap: int = DENSE_VECTOR_CAP) -> np.ndarray:
@@ -113,11 +105,13 @@ def state_vector(g: Graph, cap: int = DENSE_VECTOR_CAP) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Conjugation action U P U^dag of the single-qubit gates used by the
-# reduction, on a per-qubit (u, v) pair with a sign factor:
-#   H (basis exchange): (u, v) -> (v, u),      sign (-1)^{uv}
-#   S (quarter phase):  (u, v) -> (u^v, v),    sign (-1)^{uv}
-#   X:                  unchanged,             sign (-1)^u
-#   Z:                  unchanged,             sign (-1)^v
+# reduction on the qubit's (u, v) bits: (u', v', s) with sign (-1)^s.
+_GATE_ACTION = {
+    "H": lambda u, v: (v, u, u & v),      # basis exchange
+    "S": lambda u, v: (u ^ v, v, u & v),  # quarter phase
+    "X": lambda u, v: (u, v, u),
+    "Z": lambda u, v: (u, v, v),
+}
 _GATE_DENSE = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
@@ -126,17 +120,15 @@ _GATE_DENSE = {
 }
 
 
-def _conjugate_bit_pair(gate: str, u: int, v: int) -> tuple:
-    """Return (u', v', extra_phase_exp) for one qubit under one gate."""
-    if gate == "H":
-        return v, u, 2 * (u & v)
-    if gate == "S":
-        return u ^ v, v, 2 * (u & v)
-    if gate == "X":
-        return u, v, 2 * u
-    if gate == "Z":
-        return u, v, 2 * v
-    raise ValueError(f"unknown gate {gate!r}")
+def _conjugate_qubit(op: PauliOperator, gate: str, q: int) -> PauliOperator:
+    """Exact image U op U^dag for one single-qubit gate U on qubit q."""
+    if gate not in _GATE_ACTION:
+        raise ValueError(f"unknown gate {gate!r}")
+    shift = op.n - 1 - q
+    u, v, sign = _GATE_ACTION[gate]((op.u >> shift) & 1, (op.v >> shift) & 1)
+    keep = ~(1 << shift)
+    return PauliOperator((op.phase_exp + 2 * sign) % 4, (op.u & keep) | (u << shift),
+                         (op.v & keep) | (v << shift), op.n)
 
 
 @dataclass(frozen=True)
@@ -157,13 +149,10 @@ class LocalCliffordLayer:
         """Exact image U op U^dag under the layer."""
         if op.n != self.n:
             raise ValueError(f"size mismatch: {op.n} vs {self.n}")
-        u, v = list(op.u), list(op.v)
-        k = op.phase_exp
         for q, seq in enumerate(self.gates):
             for gate in seq:
-                u[q], v[q], extra = _conjugate_bit_pair(gate, u[q], v[q])
-                k = (k + extra) % 4
-        return PauliOperator(k, tuple(u), tuple(v))
+                op = _conjugate_qubit(op, gate, q)
+        return op
 
     def qubit_unitary(self, q: int) -> np.ndarray:
         m = np.eye(2, dtype=complex)
@@ -191,6 +180,9 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
     support index of a pure-z group combination, which provably raises the
     rank), recombines by the inverse of the x-block, clears the diagonal with
     quarter-phase gates, and absorbs generator signs into Pauli corrections.
+    Both x-block steps eliminate x-parts by multiplying the generators: the
+    first product with no x-part is the pure-z combination, and the reduced
+    pivots are the recombination by the inverse (x-part X_j for generator j).
     """
     _require_valid(gens)
     if gens.l != gens.n:
@@ -201,35 +193,22 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
 
     def apply_gate(q, gate):
         gate_lists[q].append(gate)
-        for k, op in enumerate(ops):
-            u, v = list(op.u), list(op.v)
-            u[q], v[q], extra = _conjugate_bit_pair(gate, u[q], v[q])
-            ops[k] = PauliOperator((op.phase_exp + extra) % 4, tuple(u), tuple(v))
-
-    def x_block():
-        return np.array([[op.v[j] for op in ops] for j in range(n)], dtype=np.uint8)
+        ops[:] = [_conjugate_qubit(op, gate, q) for op in ops]
 
     while True:
-        sx = x_block()
-        kernel = f2_null_space(sx)
-        if not kernel:
+        _, pure_z = eliminate(ops, key=lambda op: op.v, combine=multiply)
+        if not pure_z:
             break
-        combo = identity(n)
-        for c in range(n):
-            if kernel[0][c]:
-                combo = multiply(combo, ops[c])
-        j = combo.u.index(1)  # nonzero by generator independence
-        apply_gate(j, "H")
+        apply_gate(n - pure_z[0].u.bit_length(), "H")  # lowest qubit in its z-part
 
-    r = f2_inverse(x_block())
-    ops = list(recombine_generators(GeneratorSet(tuple(ops), n), r).generators)
+    pivots, _ = eliminate(ops, key=lambda op: op.v, combine=multiply, reduced=True)
+    ops = [pivots[n - 1 - j] for j in range(n)]
 
     for j in range(n):
-        if ops[j].u[j]:
+        if (ops[j].u >> (n - 1 - j)) & 1:
             apply_gate(j, "S")
 
-    theta = np.array([[op.u[j] for op in ops] for j in range(n)], dtype=np.uint8)
-    graph = Graph(theta)
+    graph = Graph(unpack_rows([op.u for op in ops], n).T)
 
     for s in range(n):
         if ops[s].phase_exp == 2:

@@ -18,25 +18,27 @@ import numpy as np
 
 from .f2_pauli import (
     DENSE_MATRIX_CAP,
+    ENUMERATION_CAP,
+    HERMITICITY_TOL,
+    PSD_TOL,
+    STATE_ENUMERATION_CAP,
+    TRACE_TOL,
     PauliOperator,
+    commutes,
     dense_matrix,
-    f2_null_space,
-    f2_rank,
+    eliminate,
     format_pauli,
+    gather_bits,
     identity,
     multiply,
-    commutes,
+    nonzero_entries,
+    pack_rows,
     parse_pauli,
-    support,
     restrict,
+    set_positions,
+    support,
+    unpack_rows,
 )
-
-ENUMERATION_CAP = 20
-
-# DensityMatrix numeric invariants.
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,16 @@ class ValidationReport:
 
 def generator_matrix(gens: GeneratorSet) -> np.ndarray:
     """2n x l binary matrix; column s is (u_s, v_s) stacked, z-block on top."""
-    n, l = gens.n, gens.l
-    m = np.zeros((2 * n, l), dtype=np.uint8)
-    for s, g in enumerate(gens.generators):
-        m[:n, s] = g.u
-        m[n:, s] = g.v
-    return m
+    return unpack_rows([_binary_row(g) for g in gens.generators], 2 * gens.n).T
+
+
+def _binary_row(g: PauliOperator) -> int:
+    """The 2n-bit mask (u, v), z-part on top: one generator-matrix column."""
+    return (g.u << g.n) | g.v
+
+
+def _independent(ops: Sequence[PauliOperator]) -> bool:
+    return len(eliminate(_binary_row(g) for g in ops)[0]) == len(ops)
 
 
 def validate(gens: GeneratorSet) -> ValidationReport:
@@ -97,7 +103,7 @@ def validate(gens: GeneratorSet) -> ValidationReport:
             if not commutes(gens.generators[s], gens.generators[t]):
                 commuting = False
                 problems.append(f"generators {s} and {t} anticommute")
-    independent = f2_rank(generator_matrix(gens)) == gens.l if gens.l else True
+    independent = _independent(gens.generators)
     if not independent:
         problems.append("binary parts are linearly dependent over GF(2)")
     return ValidationReport(commuting, independent, hermitian, problems)
@@ -140,7 +146,7 @@ def density_matrix(gens: GeneratorSet, cap: int = DENSE_MATRIX_CAP) -> np.ndarra
     """
     if gens.n > cap:
         raise ValueError(f"dense rendering cap exceeded: n={gens.n} > {cap}")
-    return _subgroup_sum(gens, frozenset(range(gens.n)), cap)
+    return _subgroup_sum(gens, frozenset(range(gens.n)))
 
 
 def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
@@ -149,7 +155,7 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     restrictions of all group elements supported inside omega.
 
     Those elements form the subgroup S_omega, whose k <= |omega| generators
-    come from GF(2) algebra on the generator matrix, so the cost is
+    come from GF(2) elimination on the generators, so the cost is
     poly(n) + 2^k 4^{|omega|} whatever the group order.
     """
     omega = frozenset(int(j) for j in omega)
@@ -159,29 +165,27 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
         raise ValueError(f"index out of range for {gens.n} qubits: {sorted(omega)}")
     if len(omega) > cap:
         raise ValueError(f"dense rendering cap exceeded: |omega|={len(omega)} > {cap}")
-    return _subgroup_sum(gens, omega, cap)
+    return _subgroup_sum(gens, omega)
 
 
-def _subgroup_sum(gens: GeneratorSet, omega: frozenset, cap: int) -> np.ndarray:
+def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     """2^{-|omega|} times the sum over S_omega of the restrictions to omega.
 
-    A product of generators with exponent vector x lies in S_omega iff its
-    binary part vanishes outside omega, i.e. x is in the GF(2) null space of
-    the generator-matrix rows for the qubits outside omega.
+    A product of generators lies in S_omega iff its binary part vanishes
+    outside omega, so eliminating the outside bits by multiplying the
+    generators themselves leaves a basis of S_omega.
     """
     _require_valid(gens)
-    outside = [j for j in range(gens.n) if j not in omega]
-    rows = generator_matrix(gens)[outside + [gens.n + j for j in outside]]
-    basis = []
-    for x in f2_null_space(rows):
-        prod = identity(gens.n)
-        for s in np.flatnonzero(x):
-            prod = multiply(prod, gens.generators[s])
-        basis.append(restrict(prod, omega))
+    n = gens.n
+    outside = ((1 << n) - 1) & ~sum(1 << (n - 1 - j) for j in omega)
+    _, inside = eliminate(gens.generators, combine=multiply,
+                          key=lambda g: ((g.u & outside) << n) | (g.v & outside))
+    basis = tuple(restrict(g, omega) for g in inside)
     dim = 1 << len(omega)
     rho = np.zeros((dim, dim), dtype=complex)
-    for m in enumerate_group(GeneratorSet(tuple(basis), len(omega))):
-        rho += dense_matrix(m, cap=cap)
+    for m in enumerate_group(GeneratorSet(basis, len(omega))):
+        cols, values = nonzero_entries(m)
+        rho[np.arange(dim), cols] += values
     return rho / dim
 
 
@@ -196,16 +200,19 @@ def recombine_generators(gens: GeneratorSet, r_matrix) -> GeneratorSet:
     l = gens.l
     if r.shape != (l, l):
         raise ValueError(f"recombination matrix must be {l}x{l}")
-    if f2_rank(r) != l:
+    columns = pack_rows(r.T)
+    if len(eliminate(columns)[0]) != l:
         raise ValueError("recombination matrix is singular over GF(2)")
-    new = []
-    for j in range(l):
-        prod = identity(gens.n)
-        for i in range(l):
-            if r[i, j]:
-                prod = multiply(prod, gens.generators[i])
-        new.append(prod)
-    return GeneratorSet(tuple(new), gens.n)
+    return GeneratorSet(tuple(product(gens.generators, c, gens.n) for c in columns),
+                        gens.n)
+
+
+def product(ops: Sequence[PauliOperator], mask: int, n: int) -> PauliOperator:
+    """Product of the n-qubit ops whose index i is set in mask (bit len(ops)-1-i)."""
+    prod = identity(n)
+    for i in set_positions(mask, len(ops)):
+        prod = multiply(prod, ops[i])
+    return prod
 
 
 def minimal_support_set(gens: GeneratorSet) -> set:
@@ -225,13 +232,11 @@ def minimal_support_set(gens: GeneratorSet) -> set:
 
 
 def _all_nontrivial_paulis(n: int) -> list:
-    """All 4^n - 1 unsigned non-identity Pauli binary parts on n qubits."""
-    out = []
-    for code in range(1, 1 << (2 * n)):
-        u = tuple((code >> (2 * j)) & 1 for j in range(n))
-        v = tuple((code >> (2 * j + 1)) & 1 for j in range(n))
-        out.append(PauliOperator(0, u, v))
-    return out
+    """All 4^n - 1 unsigned non-identity Pauli binary parts on n qubits, in
+    the order of a code whose bits 2j and 2j+1 are u_j and v_j."""
+    z, x = range(2 * n - 1, 0, -2), range(2 * n - 2, -1, -2)
+    return [PauliOperator(0, gather_bits(code, z, 2 * n), gather_bits(code, x, 2 * n), n)
+            for code in range(1, 1 << (2 * n))]
 
 
 def enumerate_stabilizer_states(n: int, _reverse_order: bool = False) -> list:
@@ -243,8 +248,8 @@ def enumerate_stabilizer_states(n: int, _reverse_order: bool = False) -> list:
     ``_reverse_order`` only changes the internal candidate order; it exists so
     tests can recount independently.
     """
-    if n > 3:
-        raise ValueError("exhaustive enumeration is capped at n = 3")
+    if n > STATE_ENUMERATION_CAP:
+        raise ValueError(f"exhaustive enumeration is capped at n = {STATE_ENUMERATION_CAP}")
     candidates = _all_nontrivial_paulis(n)
     if _reverse_order:
         candidates = candidates[::-1]
@@ -252,9 +257,8 @@ def enumerate_stabilizer_states(n: int, _reverse_order: bool = False) -> list:
     spans_seen = set()
     generator_tuples = []
 
-    def span_key(ops):
-        group = enumerate_group(GeneratorSet(tuple(ops), n))
-        return frozenset((m.u, m.v) for m in group)
+    def span_key(ops):  # the reduced echelon form names the span
+        return frozenset(eliminate((_binary_row(g) for g in ops), reduced=True)[0].values())
 
     def extend(chosen, start):
         if len(chosen) == n:
@@ -265,10 +269,8 @@ def enumerate_stabilizer_states(n: int, _reverse_order: bool = False) -> list:
             return
         for k in range(start, len(candidates)):
             cand = candidates[k]
-            if all(commutes(cand, c) for c in chosen):
-                stacked = generator_matrix(GeneratorSet(tuple(chosen) + (cand,), n))
-                if f2_rank(stacked) == len(chosen) + 1:
-                    extend(chosen + [cand], k + 1)
+            if all(commutes(cand, c) for c in chosen) and _independent(chosen + [cand]):
+                extend(chosen + [cand], k + 1)
 
     extend([], 0)
 

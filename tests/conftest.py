@@ -11,11 +11,29 @@ from stabdet import (
     GeneratorSet,
     Graph,
     LocalCliffordLayer,
-    PauliOperator,
     canonical_generators,
+    from_binary,
     recombine_generators,
+    to_binary,
 )
-from stabdet.f2_pauli import f2_rank
+from stabdet.f2_pauli import PHASES, f2_rank
+
+# Single-qubit factors of the (u, v) encoding: I, X, Z, Y.
+SINGLE_QUBIT = {
+    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
+    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
+    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+}
+
+
+def kron_dense(op):
+    """Dense matrix of a Pauli operator as a Kronecker product of 2x2
+    factors, qubit 0 leftmost, times its phase."""
+    m = np.array([[1]], dtype=complex)
+    for bits in zip(*to_binary(op)):
+        m = np.kron(m, SINGLE_QUBIT[bits])
+    return op.phase * m
 
 
 def random_graph(n, rng):
@@ -51,7 +69,7 @@ def random_stabilizer_set(n, rng):
     for m in gens.generators:
         m = layer.conjugate(m)
         if rng.integers(0, 2):
-            m = PauliOperator((m.phase_exp + 2) % 4, m.u, m.v)
+            m = from_binary(*to_binary(m), -m.phase)
         ops.append(m)
     return recombine_generators(GeneratorSet(tuple(ops), n),
                                 random_invertible_f2(n, rng))
@@ -61,7 +79,7 @@ def random_pauli(n, rng, real_phase=False):
     u = tuple(int(b) for b in rng.integers(0, 2, size=n))
     v = tuple(int(b) for b in rng.integers(0, 2, size=n))
     k = int(rng.integers(0, 2)) * 2 if real_phase else int(rng.integers(0, 4))
-    return PauliOperator(k, u, v)
+    return from_binary(u, v, PHASES[k])
 
 
 def ptrace_by_summation(rho, keep, n):
@@ -118,4 +136,4 @@ def hermitian_basis(n):
 
 
 def group_key(ops):
-    return frozenset((m.phase_exp, m.u, m.v) for m in ops)
+    return frozenset((m.phase_exp,) + to_binary(m) for m in ops)

@@ -190,12 +190,19 @@ def test_bad_tol_is_config_error(p4_file, capsys):
         assert main(["check", p4_file, "--tol", tol]) == 2
 
 
-def test_cap_env_override(p4_file, monkeypatch, capsys):
+def test_cap_env_override(p4_file, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("STABDET_CAP", "2")
     assert main(["state", p4_file]) == 2
     assert "cap" in capsys.readouterr().err
     monkeypatch.setenv("STABDET_CAP", "3")
     assert main(["check", p4_file]) == 2
+    assert "cap" in capsys.readouterr().err
+    # a supplied family runs the same 2^n-sized chains, so the cap holds too
+    gens = canonical_generators(Graph.path(4))
+    rdm_path = tmp_path / "exact.rdm"
+    rdm_path.write_text(format_rdm_file(RdmConstraintSet.from_state(
+        density_matrix(gens), [support(m) for m in gens.generators], 4)))
+    assert main(["check", p4_file, "--rdm", str(rdm_path)]) == 2
     assert "cap" in capsys.readouterr().err
 
 

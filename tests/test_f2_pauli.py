@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabdet.f2_pauli import (
-    PauliOperator,
+    PHASES,
     commutes,
     dense_matrix,
     f2_inverse,
@@ -21,7 +21,7 @@ from stabdet.f2_pauli import (
     to_binary,
 )
 
-from conftest import random_pauli
+from conftest import kron_dense, random_pauli
 
 
 def bits(n):
@@ -29,7 +29,8 @@ def bits(n):
 
 
 def paulis(n):
-    return st.builds(PauliOperator, st.integers(0, 3), bits(n), bits(n))
+    return st.builds(lambda k, u, v: from_binary(u, v, PHASES[k]),
+                     st.integers(0, 3), bits(n), bits(n))
 
 
 # --- binary map ---
@@ -111,12 +112,16 @@ def test_commutes_x_z():
 
 
 def test_commutes_exhaustive_n2_dense_oracle():
-    ops = [PauliOperator(0, (u0, u1), (v0, v1))
+    # all 4096 pairs of phased 2-qubit operators against the Kronecker oracle
+    ops = [from_binary((u0, u1), (v0, v1), phase) for phase in PHASES
            for u0 in (0, 1) for u1 in (0, 1) for v0 in (0, 1) for v1 in (0, 1)]
     for a in ops:
+        da = kron_dense(a)
+        assert np.array_equal(dense_matrix(a), da)
         for b in ops:
-            da, db = dense_matrix(a), dense_matrix(b)
+            db = kron_dense(b)
             assert commutes(a, b) == np.allclose(da @ db, db @ da)
+            assert np.array_equal(kron_dense(multiply(a, b)), da @ db)
 
 
 def test_commutes_random_n4_dense_oracle():
@@ -144,7 +149,7 @@ def test_restrict_to_support_has_no_identity():
     for _ in range(20):
         m = random_pauli(5, rng)
         r = restrict(m, support(m))
-        assert all((uj, vj) != (0, 0) for uj, vj in zip(r.u, r.v))
+        assert all(bits != (0, 0) for bits in zip(*to_binary(r)))
 
 
 def test_restrict_preserves_phase():
@@ -174,7 +179,7 @@ def test_dense_zx_row_structure():
 def test_unique_nonzero_per_row_at_shifted_column(op):
     # every row i has exactly one nonzero, at column i xor v
     m = dense_matrix(op)
-    v_index = sum(b << (2 - j) for j, b in enumerate(op.v))
+    v_index = sum(b << (2 - j) for j, b in enumerate(to_binary(op)[1]))
     for i in range(8):
         nz = np.nonzero(m[i])[0]
         assert list(nz) == [i ^ v_index]
@@ -191,11 +196,12 @@ def test_restriction_slices_dense_matrix():
         omega = sorted(support(op) | {int(rng.integers(0, 4))})
         sub = dense_matrix(restrict(op, omega))
         full = dense_matrix(op)
-        v_full = sum(b << (3 - j) for j, b in enumerate(op.v))
+        v = to_binary(op)[1]
+        v_full = sum(b << (3 - j) for j, b in enumerate(v))
         other = [j for j in range(4) if j not in omega]
         for iw in range(1 << len(omega)):
             iw_bits = [(iw >> (len(omega) - 1 - k)) & 1 for k in range(len(omega))]
-            vw = sum(op.v[j] << (len(omega) - 1 - k) for k, j in enumerate(omega))
+            vw = sum(v[j] << (len(omega) - 1 - k) for k, j in enumerate(omega))
             for ext in range(1 << len(other)):
                 bits = [0] * 4
                 for k, j in enumerate(omega):
@@ -290,4 +296,4 @@ def test_parse_rejects_bad_characters():
 
 def test_format_rejects_imaginary_phase():
     with pytest.raises(ValueError):
-        format_pauli(PauliOperator(1, (0,), (1,)))
+        format_pauli(from_binary((0,), (1,), 1j))

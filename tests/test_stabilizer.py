@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from stabdet.f2_pauli import (
-    PauliOperator,
     dense_matrix,
     format_pauli,
+    from_binary,
     identity,
     parse_pauli,
     support,
+    to_binary,
 )
 from stabdet.stabilizer import (
     GeneratorSet,
@@ -26,6 +27,7 @@ from stabdet.stabilizer import (
     validate,
 )
 from stabdet.graph_state import Graph, canonical_generators
+from stabdet.determination import dense_partial_trace
 
 from conftest import (
     group_key,
@@ -73,8 +75,7 @@ def test_validate_anticommuting():
 
 
 def test_validate_imaginary_phase():
-    from stabdet.f2_pauli import PauliOperator
-    report = validate(GeneratorSet((PauliOperator(1, (0,), (1,)),), 1))
+    report = validate(GeneratorSet((from_binary((0,), (1,), 1j),), 1))
     assert not report.hermitian
 
 
@@ -176,8 +177,9 @@ def test_rdm_beyond_enumeration_cap():
     rng = np.random.default_rng(40)
     small = random_stabilizer_set(4, rng)
     pad = (0,) * 36
-    ops = [PauliOperator(m.phase_exp, m.u + pad, m.v + pad) for m in small.generators]
-    ops += [PauliOperator(0, tuple(int(j == q) for j in range(40)), (0,) * 40)
+    ops = [from_binary(u + pad, v + pad, m.phase)
+           for m in small.generators for u, v in [to_binary(m)]]
+    ops += [from_binary(tuple(int(j == q) for j in range(40)), (0,) * 40)
             for q in range(4, 40)]
     gens = recombine_generators(GeneratorSet(tuple(ops), 40),
                                 random_invertible_f2(40, rng))
@@ -187,6 +189,17 @@ def test_rdm_beyond_enumeration_cap():
         rho = rho @ (eye + dense_matrix(m)) / 2
     for omega in ([0, 1], [1, 2, 3], [0, 2, 3]):
         want = ptrace_by_summation(rho, omega, 4)
+        assert np.max(np.abs(stabilizer_rdm(gens, omega) - want)) < 1e-12
+
+
+def test_rdm_windows_of_a_1000_vertex_path():
+    # away from the far end, the marginal on three consecutive vertices of a
+    # path graph state depends only on the neighbourhood that the matching
+    # window of the 5-vertex path reproduces
+    gens = canonical_generators(Graph.path(1000))
+    rho5 = density_matrix(canonical_generators(Graph.path(5)))
+    for omega, window in (([0, 1, 2], [0, 1, 2]), ([499, 500, 501], [1, 2, 3])):
+        want = dense_partial_trace(rho5, window)
         assert np.max(np.abs(stabilizer_rdm(gens, omega) - want)) < 1e-12
 
 
