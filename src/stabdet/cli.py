@@ -102,10 +102,17 @@ def cmd_rdm(args) -> int:
     cap = _resolve_cap(args)
     try:
         gens = parse_generator_file(_read(args.generators))
+        named = []
+        owner = {}
         for spec in args.omega:
             omega = sorted(int(tok) for tok in spec.split(","))
-            rho = stabilizer_rdm(gens, omega, cap=cap)
             name = "rdm_" + "".join(str(j) for j in omega) + ".txt"
+            first = owner.setdefault(name, omega)
+            if set(first) != set(omega):
+                raise ValueError(f"omega {first} and omega {omega} both map to {name}")
+            named.append((omega, name))
+        for omega, name in named:
+            rho = stabilizer_rdm(gens, omega, cap=cap)
             _emit(args, name, format_density_matrix(rho))
     except ValueError as exc:
         raise CommandError(str(exc))

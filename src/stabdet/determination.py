@@ -4,10 +4,12 @@ supports of a generating set, with independent oracles and the explicit
 
 The two forcing chains execute the uniqueness arguments as algorithms: every
 amplitude (pure chain) or matrix entry (mixed chain) of the candidate state is
-pinned from the constraints one step at a time, and each step is recorded in a
+fixed from the constraints one step at a time, and each step is recorded in a
 forcing log.  Any constraint violation beyond tolerance flips the result to
 Inconsistent with the first violated rule named; a constraint family that
-cannot cover the needed supports yields Underdetermined.
+cannot cover the needed supports yields Underdetermined.  The mixed chain's
+checked entries force all others by a rank-one completion, logged but never
+failing; both chains end by checking every constraint against the closed form.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ RULE_MINOR_COMPLETION = "minor-completion"
 RULE_UNUSED_ENTRY = "unused-entry"
 RULE_MISSING_SUPPORT = "missing-support"
 RULE_BASIS = "x-parts-not-a-basis"
-
-
-class MinorViolation(ValueError):
-    """A required principal minor is negative beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -142,6 +140,7 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
 @dataclass
 class _ChainSetup:
     n: int
+    gens: GeneratorSet      # generates the graph state's signed group
     omegas: list            # sorted index list per generator
     r_indices: list         # x-part as basis index per generator
     matrices: list          # constraint matrix restricted to each omega
@@ -196,6 +195,7 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
         coords[idx] = code
     setup = _ChainSetup(
         n=n,
+        gens=gens,
         omegas=omegas,
         r_indices=r_indices,
         matrices=matrices,
@@ -278,8 +278,7 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
 
     state = setup.signs.astype(complex) / math.sqrt(1 << n)
     report = ReconstructionReport(DETERMINED, state, log, residual)
-    _check_unused_entries(setup, state=np.outer(state, state.conj()),
-                          report=report, tol=tol)
+    _check_unused_entries(setup, report, tol)
     return report
 
 
@@ -292,12 +291,13 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     """Pin every entry of a candidate Hermitian matrix from the constraints.
 
     Stage 1 pins the diagonal (diagonal sums, translation relations and trace
-    normalization), stage 2 pins the entries one generator-translation apart
-    (magnitude equality plus sign alignment), stage 3 pins the zero row by a
-    chain of 3x3 principal minors over partial sums, and stage 4 completes the
-    remaining entries with one more minor each.  Every one of the 4^n real
-    parameters is logged exactly once (one log step per diagonal entry, one
-    per unordered off-diagonal pair).
+    normalization), and stage 2 pins the entries one generator-translation
+    apart (magnitude equality plus sign alignment).  Those entries force the
+    rest as the rank-one completion rho[i, j] = rho[i, 0] rho[0, j] / rho[0, 0]:
+    stage 3 pins the zero row along a chain of 3x3 principal minors over
+    partial sums, and stage 4 the remaining entries through the zero row.
+    Every one of the 4^n real parameters is logged exactly once (one log step
+    per diagonal entry, one per unordered off-diagonal pair).
     """
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
@@ -306,7 +306,6 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     dim = 1 << n
     log = []
     residual = 0.0
-    rho = np.zeros((dim, dim), dtype=complex)
 
     def fail(indices, rule, generator, dev, what):
         log.append(ForcingStep(indices, rule, generator))
@@ -316,7 +315,6 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     order = _forcing_order(setup)
     for weight, idx, top in order:
         if top is None:
-            rho[idx, idx] = 1.0 / dim
             log.append(ForcingStep((0, 0), RULE_NORMALIZATION))
             continue
         d_i, d_j, _ = _constraint_entries(setup, top, idx)
@@ -328,7 +326,6 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
                 return fail((idx, idx), RULE_DIAGONAL, top, dev,
                             f"diagonal sum deviates by {dev:.3g} on the support "
                             f"of generator {top}")
-        rho[idx, idx] = 1.0 / dim
         log.append(ForcingStep((idx, idx), RULE_DIAGONAL, top))
 
     # Stage 2: entries one generator-translation apart.
@@ -353,67 +350,34 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
                 return fail((i, j), RULE_TRANSLATION, s, dev,
                             f"off-diagonal sign deviates by {dev:.3g} on the "
                             f"support of generator {s}")
-            value = setup.signs[i] * setup.signs[j] / dim
-            rho[i, j] = value
-            rho[j, i] = value
             log.append(ForcingStep((i, j), RULE_TRANSLATION, s))
 
-    pinned = {(i, i) for i in range(dim)}
-    pinned.update((min(i, i ^ rs), max(i, i ^ rs))
-                  for rs in setup.r_indices for i in range(dim))
-
-    def minor_pin(a: int, b: int, j: int) -> complex:
-        """Pin rho[a, j] from the known entries rho[a, b] and rho[b, j]; the
-        3x3 principal minor on rows {a, b, j} is non-negative only at the
-        returned value.  A negative minor at that value means the previously
-        pinned entries were inconsistent."""
-        value = rho[a, b] * rho[b, j] / rho[b, b]
-        sub = np.array([
-            [rho[a, a], rho[a, b], value],
-            [rho[b, a], rho[b, b], rho[b, j]],
-            [np.conj(value), rho[j, b], rho[j, j]],
-        ])
-        det = np.linalg.det(sub).real
-        if det < -tol:
-            raise MinorViolation(
-                f"principal minor on rows {sorted({a, b, j})} is {det:.3g}")
-        return value
-
+    # Stages 1-2 fix each entry they checked to signs[i] signs[j] / dim, so
+    # every 3x3 minor below is one of that exact dyadic rank-one matrix and is
+    # zero: the completion is the projector and no entry can fail.
     # Stage 3: the zero row, by chained minors over partial sums.
-    for weight, j, top in order:
-        if weight < 2:
-            continue
-        ks = [s for s in range(n) if (setup.coords[j] >> s) & 1]
-        partial = 0
-        for k in ks[:-1]:
-            partial ^= setup.r_indices[k]
-        value = minor_pin(0, partial, j)
-        rho[0, j] = value
-        rho[j, 0] = np.conj(value)
-        log.append(ForcingStep((0, j), RULE_MINOR_CHAIN, ks[-1]))
-        pinned.add((0, j))
-
+    log.extend(ForcingStep((0, j), RULE_MINOR_CHAIN, top)
+               for weight, j, top in order if weight >= 2)
     # Stage 4: everything else, one minor through the zero row each.
-    for i in range(1, dim):
-        for j in range(i + 1, dim):
-            if (i, j) in pinned:
-                continue
-            value = minor_pin(i, 0, j)
-            rho[i, j] = value
-            rho[j, i] = np.conj(value)
-            log.append(ForcingStep((i, j), RULE_MINOR_COMPLETION))
+    translations = set(setup.r_indices)
+    log.extend(ForcingStep((i, j), RULE_MINOR_COMPLETION)
+               for i in range(1, dim) for j in range(i + 1, dim)
+               if i ^ j not in translations)
 
+    rho = np.outer(setup.signs.astype(complex) / dim, setup.signs)
     report = ReconstructionReport(DETERMINED, rho, log, residual)
-    _check_unused_entries(setup, state=rho, report=report, tol=tol)
+    _check_unused_entries(setup, report, tol)
     return report
 
 
-def _check_unused_entries(setup: _ChainSetup, state: np.ndarray,
-                          report: ReconstructionReport, tol: float) -> None:
+def _check_unused_entries(setup: _ChainSetup, report: ReconstructionReport,
+                          tol: float) -> None:
     """Final hypothesis check: every constraint matrix must equal the marginal
-    of the reconstructed state, including entries the chain never touched."""
+    of the reconstructed state, including entries the chain never touched.
+    The state is the graph state, which setup.gens stabilizes, so its marginal
+    is the closed form."""
     for s, mat in enumerate(setup.matrices):
-        target = dense_partial_trace(state, setup.omegas[s])
+        target = stabilizer_rdm(setup.gens, setup.omegas[s], cap=setup.n)
         dev = float(np.max(np.abs(mat - target)))
         report.max_residual = max(report.max_residual, dev)
         if dev > tol:

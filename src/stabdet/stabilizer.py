@@ -12,6 +12,7 @@ the factors commute.  ``validate`` asserts exactly those three conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +57,11 @@ class GeneratorSet:
     @property
     def l(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate(self)``, computed once: the instance is frozen."""
+        return validate(self)
 
     @classmethod
     def from_strings(cls, n: int, strings: Iterable[str]) -> "GeneratorSet":
@@ -110,7 +116,7 @@ def validate(gens: GeneratorSet) -> ValidationReport:
 
 
 def _require_valid(gens: GeneratorSet):
-    report = validate(gens)
+    report = gens.validation
     if not report.ok:
         raise ValueError("invalid generator set: " + "; ".join(report.problems))
 

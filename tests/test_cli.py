@@ -91,6 +91,20 @@ def test_rdm_out_of_range(ghz3_file, capsys):
     assert main(["rdm", ghz3_file, "--omega", "0,7"]) == 2
 
 
+def test_rdm_distinct_omegas_with_one_name(tmp_path, capsys):
+    gens_path = tmp_path / "p13.gens"
+    gens_path.write_text(format_generator_file(canonical_generators(Graph.path(13))))
+    out = tmp_path / "out"
+    argv = ["rdm", str(gens_path), "--out", str(out)]
+    assert main(argv + ["--omega", "1,2", "--omega", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "[1, 2]" in err and "[12]" in err and "rdm_12.txt" in err
+    assert not (out / "rdm_12.txt").exists()
+    # the same omega twice, in any order, still writes its one file
+    assert main(argv + ["--omega", "1,2", "--omega", "2,1"]) == 0
+    assert parse_density_matrix((out / "rdm_12.txt").read_text()).shape == (4, 4)
+
+
 def test_check_self_mode(p4_file, capsys):
     assert main(["check", p4_file]) == 0
     out = capsys.readouterr().out

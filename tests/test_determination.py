@@ -1,15 +1,26 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from stabdet.f2_pauli import support
-from stabdet.stabilizer import GeneratorSet, density_matrix, recombine_generators
+from stabdet.stabilizer import (
+    GeneratorSet,
+    density_matrix,
+    recombine_generators,
+    stabilizer_rdm,
+)
 from stabdet.graph_state import Graph, canonical_generators, state_vector
 from stabdet.determination import (
     DETERMINED,
     INCONSISTENT,
     UNDERDETERMINED,
     RULE_DIAGONAL,
+    RULE_MINOR_CHAIN,
+    RULE_MINOR_COMPLETION,
     RULE_NORMALIZATION,
+    RULE_TRANSLATION,
     RdmConstraintSet,
     dense_partial_trace,
     forcing_chain_mixed,
@@ -131,6 +142,22 @@ def test_pure_chain_soundness_random_graphs():
         assert np.max(np.abs(report.state - state_vector(g))) < 1e-12
 
 
+def test_pure_chain_stays_out_of_dense_memory():
+    g = Graph.path(12)
+    gens = canonical_generators(g)
+    rdms = RdmConstraintSet(12, {support(m): stabilizer_rdm(gens, support(m))
+                                 for m in gens.generators})
+    tracemalloc.start()
+    try:
+        report = forcing_chain_pure(g, gens, rdms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == DETERMINED
+    # a 2^12 x 2^12 complex matrix alone would take 256 MiB
+    assert peak < 32 * 2 ** 20
+
+
 def test_pure_chain_missing_support_underdetermined():
     rdms = exact_rdms(P4)
     del rdms.constraints[frozenset({0, 1, 2})]
@@ -162,12 +189,24 @@ def test_mixed_chain_p4():
 
 
 def test_mixed_chain_log_covers_all_parameters():
-    report = forcing_chain_mixed(P4, P4_GENS, exact_rdms(P4))
-    pairs = [step.indices for step in report.forcing_log]
-    assert len(pairs) == len(set(pairs))
-    params = sum(1 if i == j else 2 for i, j in pairs)
-    assert params == 4 ** 4
-    assert sum(1 for s in report.forcing_log if s.rule == RULE_NORMALIZATION) == 1
+    rng = np.random.default_rng(31)
+    for g in [P4] + [random_graph(n, rng) for n in range(1, 7)]:
+        n, dim = g.n, 1 << g.n
+        report = forcing_chain_mixed(g, canonical_generators(g), exact_rdms(g))
+        pairs = [step.indices for step in report.forcing_log]
+        assert len(pairs) == len(set(pairs))
+        params = sum(1 if i == j else 2 for i, j in pairs)
+        assert params == 4 ** n
+        counts = Counter(step.rule for step in report.forcing_log)
+        assert counts == Counter({
+            RULE_NORMALIZATION: 1,
+            RULE_DIAGONAL: dim - 1,
+            RULE_TRANSLATION: n * dim // 2,
+            RULE_MINOR_CHAIN: dim - 1 - n,
+            RULE_MINOR_COMPLETION: (dim - 1) * (dim - 2) // 2 - n * dim // 2 + n,
+        })
+        assert all(step.indices[0] == 0 for step in report.forcing_log
+                   if step.rule == RULE_MINOR_CHAIN)
 
 
 def test_mixed_chain_succeeds_on_minimal_support_family():

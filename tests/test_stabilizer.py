@@ -79,6 +79,29 @@ def test_validate_imaginary_phase():
     assert not report.hermitian
 
 
+def test_generator_set_is_validated_once(monkeypatch):
+    import stabdet.stabilizer as stabilizer
+    from stabdet.graph_state import lc_to_graph
+    gens = canonical_generators(Graph.path(20))
+    seen = []
+
+    def counting(arg):
+        seen.append(arg)
+        return validate(arg)
+
+    monkeypatch.setattr(stabilizer, "validate", counting)
+    for m in gens.generators:
+        stabilizer_rdm(gens, support(m))
+    lc_to_graph(gens)
+    # _subgroup_sum validates its own S_omega basis sets; count only gens
+    assert sum(arg is gens for arg in seen) == 1
+    # a cached failing report still fails every call
+    bad = GeneratorSet.from_strings(1, ["X", "Z"])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="anticommute"):
+            stabilizer_rdm(bad, {0})
+
+
 # --- group enumeration ---
 
 def test_enumerate_single_z():
