@@ -6,9 +6,7 @@ from .f2_pauli import (
     PauliOperator,
     commutes,
     dense_matrix,
-    f2_null_space,
     f2_rank,
-    f2_solve,
     format_pauli,
     from_binary,
     multiply,

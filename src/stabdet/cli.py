@@ -3,7 +3,7 @@
 Commands: state, rdm, check, minimal, counterexample.  Exit codes: 0 for
 success / Determined, 2 for parse or configuration errors, 3 for Inconsistent,
 4 for Underdetermined.  The STABDET_CAP environment variable overrides the
-dense-size caps; --cap takes precedence over it.
+dense-size cap; --cap takes precedence over it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class CommandError(Exception):
     """Parse or configuration failure; maps to exit code 2."""
 
 
-def _resolve_cap(args, default: int = f2_pauli.DENSE_MATRIX_CAP) -> int:
+def _resolve_cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("STABDET_CAP")
@@ -61,7 +61,18 @@ def _resolve_cap(args, default: int = f2_pauli.DENSE_MATRIX_CAP) -> int:
             return int(env)
         except ValueError:
             raise CommandError(f"STABDET_CAP must be an integer, got {env!r}")
-    return default
+    return f2_pauli.DENSE_MATRIX_CAP
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return tol
 
 
 def _read(path: str) -> str:
@@ -89,8 +100,9 @@ def _format_state_vector(vec: np.ndarray) -> str:
 def cmd_state(args) -> int:
     try:
         graph = parse_graph_file(_read(args.graph))
-        vec = state_vector(graph, cap=_resolve_cap(args, f2_pauli.DENSE_VECTOR_CAP))
-        rho = density_matrix(canonical_generators(graph), cap=_resolve_cap(args))
+        cap = _resolve_cap(args)
+        vec = state_vector(graph, cap=cap)
+        rho = density_matrix(canonical_generators(graph), cap=cap)
     except ValueError as exc:
         raise CommandError(str(exc))
     _emit(args, "state.txt", _format_state_vector(vec))
@@ -105,10 +117,10 @@ def cmd_rdm(args) -> int:
         named = []
         owner = {}
         for spec in args.omega:
-            omega = sorted(int(tok) for tok in spec.split(","))
+            omega = sorted({int(tok) for tok in spec.split(",")})
             name = "rdm_" + "".join(str(j) for j in omega) + ".txt"
             first = owner.setdefault(name, omega)
-            if set(first) != set(omega):
+            if first != omega:
                 raise ValueError(f"omega {first} and omega {omega} both map to {name}")
             named.append((omega, name))
         for omega, name in named:
@@ -196,26 +208,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stabdet")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="absolute tolerance for equality checks")
-        p.add_argument("--cap", type=int, default=None,
-                       help="dense-size cap override (qubit count)")
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable summary")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: stdout)")
+    options = {
+        "--tol": dict(type=_tolerance, default=DEFAULT_TOL,
+                      help="absolute tolerance for equality checks"),
+        "--cap": dict(type=int, default=None,
+                      help="dense-size cap override (qubit count)"),
+        "--json": dict(action="store_true",
+                       help="emit a machine-readable summary"),
+        "--out": dict(default=None, help="output directory (default: stdout)"),
+    }
+
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
     p = sub.add_parser("state", help="graph file -> state vector and density matrix")
     p.add_argument("graph")
-    common(p)
+    common(p, "--cap", "--out")
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("rdm", help="generator file -> reduced density matrices")
     p.add_argument("generators")
     p.add_argument("--omega", action="append", required=True,
                    help="comma-separated qubit indices; repeatable")
-    common(p)
+    common(p, "--cap", "--out")
     p.set_defaults(func=cmd_rdm)
 
     p = sub.add_parser("check", help="run the determination check on a graph")
@@ -224,17 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constraint file (default: self-check from the graph)")
     p.add_argument("--pure", action="store_true",
                    help="use the pure-state chain instead of the mixed one")
-    common(p)
+    common(p, "--tol", "--cap", "--json")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("minimal", help="minimal support set of a generator file")
     p.add_argument("generators")
-    common(p)
     p.set_defaults(func=cmd_minimal)
 
     p = sub.add_parser("counterexample",
                        help="verify the 4-qubit shrunken-support counterexample")
-    common(p)
+    common(p, "--tol", "--json")
     p.set_defaults(func=cmd_counterexample)
     return parser
 
@@ -245,9 +260,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    if not 0 < args.tol < math.inf:
-        print("error: --tol must be a finite positive number", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except CommandError as exc:

@@ -5,11 +5,11 @@ supports of a generating set, with independent oracles and the explicit
 The two forcing chains execute the uniqueness arguments as algorithms: every
 amplitude (pure chain) or matrix entry (mixed chain) of the candidate state is
 fixed from the constraints one step at a time, and each step is recorded in a
-forcing log.  Any constraint violation beyond tolerance flips the result to
-Inconsistent with the first violated rule named; a constraint family that
-cannot cover the needed supports yields Underdetermined.  The mixed chain's
-checked entries force all others by a rank-one completion, logged but never
-failing; both chains end by checking every constraint against the closed form.
+forcing log.  A step compares constraint entries with the graph state's; a
+deviation beyond tolerance flips the result to Inconsistent with the violated
+rule named, and only a family that misses a generator's support yields
+Underdetermined.  The mixed chain's checked entries force all others by a
+rank-one completion; both chains end by checking every constraint in full.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .f2_pauli import (
     DEFAULT_TOL,
     KERNEL_CAP,
     dense_matrix,
-    eliminate,
     gather_bits,
     support,
 )
@@ -52,7 +51,6 @@ RULE_MINOR_CHAIN = "minor-chain"
 RULE_MINOR_COMPLETION = "minor-completion"
 RULE_UNUSED_ENTRY = "unused-entry"
 RULE_MISSING_SUPPORT = "missing-support"
-RULE_BASIS = "x-parts-not-a-basis"
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class _ChainSetup:
     omegas: list            # sorted index list per generator
     r_indices: list         # x-part as basis index per generator
     matrices: list          # constraint matrix restricted to each omega
-    coords: list            # per basis index: exponent mask in the r-basis, bit s for r_s
+    order: list             # forcing order: (r-weight, basis index, top generator)
     signs: np.ndarray       # (-1)^{f} per basis index
 
 
@@ -156,7 +154,6 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     _check_graph_group(g, gens)
     if rdms.n != g.n:
         raise ValueError("constraint set qubit count does not match the graph")
-    n = g.n
 
     omegas, matrices = [], []
     for s, m in enumerate(gens.generators):
@@ -168,64 +165,53 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
             superset = min((w for w in rdms.constraints if w >= omega),
                            key=lambda w: (len(w), sorted(w)), default=None)
             if superset is None:
-                report = ReconstructionReport(
+                return None, ReconstructionReport(
                     UNDERDETERMINED, None,
                     [ForcingStep((s,), RULE_MISSING_SUPPORT, s)],
                     message=f"no constraint covers support {sorted(omega)} "
                             f"of generator {s}")
-                return None, report
             full = rdms.constraints[superset]
             inner = [sorted(superset).index(j) for j in sorted(omega)]
             matrices.append(dense_partial_trace(full, inner))
         omegas.append(sorted(omega))
 
+    # Each generator is the group element named by its x-part, so the n
+    # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
+    # are forced by r-weight, then index, each by the top generator in its code.
     r_indices = [m.v for m in gens.generators]
-    if len(eliminate(r_indices)[0]) != n:
-        report = ReconstructionReport(
-            UNDERDETERMINED, None, [ForcingStep((), RULE_BASIS)],
-            message="generator x-parts do not span the full space")
-        return None, report
-
-    # span[code] is the basis index sum_s code_s r_s; coords inverts it.
     span = [0]
     for r in r_indices:
         span += [idx ^ r for idx in span]
-    coords = [0] * (1 << n)
-    for code, idx in enumerate(span):
-        coords[idx] = code
-    setup = _ChainSetup(
-        n=n,
-        gens=gens,
-        omegas=omegas,
-        r_indices=r_indices,
-        matrices=matrices,
-        coords=coords,
-        signs=sign_vector(g),
-    )
-    return setup, None
+    order = sorted((code.bit_count(), idx, code.bit_length() - 1 if code else None)
+                   for code, idx in enumerate(span))
+    return _ChainSetup(g.n, gens, omegas, r_indices, matrices, order,
+                       sign_vector(g)), None
 
 
-def _forcing_order(setup: _ChainSetup):
-    """Basis indices ordered by exponent weight in the r-basis, then by index;
-    the highest set exponent is the generator used to force each one."""
-    return sorted((x.bit_count(), idx, x.bit_length() - 1 if x else None)
-                  for idx, x in enumerate(setup.coords))
-
-
-def _expected_translation(setup: _ChainSetup, s: int, idx: int) -> float:
-    """Target value of the constraint entry that links idx to idx + r_s."""
-    other = idx ^ setup.r_indices[s]
-    scale = 1.0 / (1 << len(setup.omegas[s]))
-    return scale * setup.signs[idx] * setup.signs[other]
-
-
-def _constraint_entries(setup: _ChainSetup, s: int, idx: int):
-    """(diag at idx, diag at idx + r_s, off-diagonal entry) of constraint s."""
+def _deviations(setup: _ChainSetup, s: int, idx: int) -> tuple:
+    """How far constraint s is from the graph state at the entries linking
+    idx and idx + r_s: (diagonal at idx, diagonal at idx + r_s, linking
+    entry in magnitude, linking entry in value)."""
     omega = setup.omegas[s]
+    other = idx ^ setup.r_indices[s]
     i_w = gather_bits(idx, omega, setup.n)
-    j_w = gather_bits(idx ^ setup.r_indices[s], omega, setup.n)
+    j_w = gather_bits(other, omega, setup.n)
     mat = setup.matrices[s]
-    return mat[i_w, i_w], mat[j_w, j_w], mat[i_w, j_w]
+    scale = 1.0 / (1 << len(omega))
+    off = mat[i_w, j_w]
+    return (abs(mat[i_w, i_w] - scale), abs(mat[j_w, j_w] - scale),
+            abs(abs(off) - scale),
+            abs(off - scale * setup.signs[idx] * setup.signs[other]))
+
+
+def _inconsistent(log: list, step: ForcingStep, dev: float,
+                  wording: str) -> ReconstructionReport:
+    """The report of a chain whose step failed by dev."""
+    log.append(step)
+    return ReconstructionReport(
+        INCONSISTENT, None, log, dev,
+        f"{wording} deviates by {dev:.3g} on the support of generator "
+        f"{step.generator}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,39 +230,24 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    n = setup.n
     log = []
     residual = 0.0
 
-    for weight, idx, top in _forcing_order(setup):
+    for weight, idx, top in setup.order:
         if top is None:
             log.append(ForcingStep((0, 0), RULE_NORMALIZATION))
             continue
-        d_i, d_j, off = _constraint_entries(setup, top, idx)
-        scale = 1.0 / (1 << len(setup.omegas[top]))
-        for value, tag in ((d_i, RULE_DIAGONAL), (d_j, RULE_DIAGONAL)):
-            dev = abs(value - scale)
+        pair = (idx, idx ^ setup.r_indices[top])
+        d_i, d_j, _, d_off = _deviations(setup, top, idx)
+        for dev, rule, wording in ((d_i, RULE_DIAGONAL, "diagonal entry"),
+                                   (d_j, RULE_DIAGONAL, "diagonal entry"),
+                                   (d_off, RULE_TRANSLATION, "translation entry")):
             residual = max(residual, dev)
             if dev > tol:
-                log.append(ForcingStep((idx, idx ^ setup.r_indices[top]), tag, top))
-                return ReconstructionReport(
-                    INCONSISTENT, None, log, dev,
-                    f"diagonal entry deviates by {dev:.3g} on the support of "
-                    f"generator {top}")
-        expected = _expected_translation(setup, top, idx)
-        dev = abs(off - expected)
-        residual = max(residual, dev)
-        if dev > tol:
-            log.append(ForcingStep((idx, idx ^ setup.r_indices[top]),
-                                   RULE_TRANSLATION, top))
-            return ReconstructionReport(
-                INCONSISTENT, None, log, dev,
-                f"translation entry deviates by {dev:.3g} on the support of "
-                f"generator {top}")
-        log.append(ForcingStep((idx, idx ^ setup.r_indices[top]),
-                               RULE_TRANSLATION, top))
+                return _inconsistent(log, ForcingStep(pair, rule, top), dev, wording)
+        log.append(ForcingStep(pair, RULE_TRANSLATION, top))
 
-    state = setup.signs.astype(complex) / math.sqrt(1 << n)
+    state = setup.signs.astype(complex) / math.sqrt(1 << setup.n)
     report = ReconstructionReport(DETERMINED, state, log, residual)
     _check_unused_entries(setup, report, tol)
     return report
@@ -302,54 +273,36 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    n = setup.n
-    dim = 1 << n
+    dim = 1 << setup.n
     log = []
     residual = 0.0
 
-    def fail(indices, rule, generator, dev, what):
-        log.append(ForcingStep(indices, rule, generator))
-        return ReconstructionReport(INCONSISTENT, None, log, dev, what)
-
     # Stage 1: the diagonal.
-    order = _forcing_order(setup)
-    for weight, idx, top in order:
+    for weight, idx, top in setup.order:
         if top is None:
             log.append(ForcingStep((0, 0), RULE_NORMALIZATION))
             continue
-        d_i, d_j, _ = _constraint_entries(setup, top, idx)
-        scale = 1.0 / (1 << len(setup.omegas[top]))
-        for value in (d_i, d_j):
-            dev = abs(value - scale)
+        step = ForcingStep((idx, idx), RULE_DIAGONAL, top)
+        d_i, d_j, _, _ = _deviations(setup, top, idx)
+        for dev in (d_i, d_j):
             residual = max(residual, dev)
             if dev > tol:
-                return fail((idx, idx), RULE_DIAGONAL, top, dev,
-                            f"diagonal sum deviates by {dev:.3g} on the support "
-                            f"of generator {top}")
-        log.append(ForcingStep((idx, idx), RULE_DIAGONAL, top))
+                return _inconsistent(log, step, dev, "diagonal sum")
+        log.append(step)
 
     # Stage 2: entries one generator-translation apart.
-    for s in range(n):
-        rs = setup.r_indices[s]
-        scale = 1.0 / (1 << len(setup.omegas[s]))
+    for s, rs in enumerate(setup.r_indices):
         for i in range(dim):
             j = i ^ rs
             if j < i:
                 continue
-            _, _, off = _constraint_entries(setup, s, i)
-            dev = abs(abs(off) - scale)
-            residual = max(residual, dev)
-            if dev > tol:
-                return fail((i, j), RULE_MAGNITUDE, s, dev,
-                            f"off-diagonal magnitude deviates by {dev:.3g} on "
-                            f"the support of generator {s}")
-            expected = _expected_translation(setup, s, i)
-            dev = abs(off - expected)
-            residual = max(residual, dev)
-            if dev > tol:
-                return fail((i, j), RULE_TRANSLATION, s, dev,
-                            f"off-diagonal sign deviates by {dev:.3g} on the "
-                            f"support of generator {s}")
+            _, _, d_mag, d_off = _deviations(setup, s, i)
+            for dev, rule, wording in (
+                    (d_mag, RULE_MAGNITUDE, "off-diagonal magnitude"),
+                    (d_off, RULE_TRANSLATION, "off-diagonal sign")):
+                residual = max(residual, dev)
+                if dev > tol:
+                    return _inconsistent(log, ForcingStep((i, j), rule, s), dev, wording)
             log.append(ForcingStep((i, j), RULE_TRANSLATION, s))
 
     # Stages 1-2 fix each entry they checked to signs[i] signs[j] / dim, so
@@ -357,7 +310,7 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     # zero: the completion is the projector and no entry can fail.
     # Stage 3: the zero row, by chained minors over partial sums.
     log.extend(ForcingStep((0, j), RULE_MINOR_CHAIN, top)
-               for weight, j, top in order if weight >= 2)
+               for weight, j, top in setup.order if weight >= 2)
     # Stage 4: everything else, one minor through the zero row each.
     translations = set(setup.r_indices)
     log.extend(ForcingStep((i, j), RULE_MINOR_COMPLETION)

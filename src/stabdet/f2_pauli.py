@@ -13,8 +13,8 @@ of the operator.  Products and commutation are popcounts of these masks (the
 packing of Aaronson & Gottesman 2004, quant-ph/0406196).
 
 GF(2) matrices are lists of int rows with column c of a w-column matrix at
-bit w-1-c; the ``f2_*`` functions accept and return numpy 0/1 arrays and
-convert at that boundary only.
+bit w-1-c; ``f2_rank`` accepts a numpy 0/1 array and converts at that
+boundary only.
 """
 
 from __future__ import annotations
@@ -264,66 +264,6 @@ def _as_f2(m) -> np.ndarray:
     return a
 
 
-def f2_row_reduce(m) -> tuple:
-    """Reduced row echelon form over GF(2) and the list of pivot columns,
-    which are the columns outside the span of those before them."""
-    a = _as_f2(m)
-    pivots, _ = eliminate(pack_rows(a), reduced=True)
-    lead = sorted(pivots, reverse=True)
-    rows = [pivots[h] for h in lead] + [0] * (a.shape[0] - len(lead))
-    return unpack_rows(rows, a.shape[1]), [a.shape[1] - 1 - h for h in lead]
-
-
 def f2_rank(m) -> int:
     """Rank over GF(2) via Gaussian elimination."""
     return len(eliminate(pack_rows(_as_f2(m)))[0])
-
-
-def f2_solve(m, rhs):
-    """Some x with m @ x = rhs over GF(2), or None if inconsistent.
-
-    Deterministic: free variables are set to 0 in the reduced row echelon
-    form, which makes the returned solution canonical.
-    """
-    a = _as_f2(m)
-    b = np.array(rhs, dtype=np.uint8).reshape(-1) % 2
-    if b.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    red, pivots = f2_row_reduce(aug)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None  # a pivot in the augmented column: inconsistent
-    x = np.zeros(cols, dtype=np.uint8)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, cols]
-    return x
-
-
-def f2_null_space(m) -> list:
-    """Basis of the kernel {x : m @ x = 0} over GF(2)."""
-    a = _as_f2(m)
-    red, pivots = f2_row_reduce(a)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = np.zeros(cols, dtype=np.uint8)
-        x[fc] = 1
-        for i, c in enumerate(pivots):
-            x[c] = red[i, fc]
-        basis.append(x)
-    return basis
-
-
-def f2_inverse(m) -> np.ndarray:
-    """Inverse of a square matrix over GF(2); raises on singular input."""
-    a = _as_f2(m)
-    rows, cols = a.shape
-    if rows != cols:
-        raise ValueError("inverse requires a square matrix")
-    aug = np.concatenate([a, np.eye(rows, dtype=np.uint8)], axis=1)
-    red, pivots = f2_row_reduce(aug)
-    if pivots[:rows] != list(range(rows)):
-        raise ValueError("matrix is singular over GF(2)")
-    return red[:, rows:]

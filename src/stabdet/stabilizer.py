@@ -245,20 +245,16 @@ def _all_nontrivial_paulis(n: int) -> list:
             for code in range(1, 1 << (2 * n))]
 
 
-def enumerate_stabilizer_states(n: int, _reverse_order: bool = False) -> list:
+def enumerate_stabilizer_states(n: int) -> list:
     """Every distinct pure n-qubit stabilizer state as a dense projector.
 
     Enumerates all maximal commuting independent unsigned generator tuples,
-    deduplicates by group span, then attaches every sign pattern.  The final
-    projector-level deduplication key rounds entries to 1e-9.
-    ``_reverse_order`` only changes the internal candidate order; it exists so
-    tests can recount independently.
+    deduplicates by group span, then attaches every sign pattern: each
+    (span, sign pattern) is a distinct state.
     """
     if n > STATE_ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration is capped at n = {STATE_ENUMERATION_CAP}")
     candidates = _all_nontrivial_paulis(n)
-    if _reverse_order:
-        candidates = candidates[::-1]
 
     spans_seen = set()
     generator_tuples = []
@@ -282,7 +278,6 @@ def enumerate_stabilizer_states(n: int, _reverse_order: bool = False) -> list:
 
     eye = np.eye(1 << n, dtype=complex)
     states = []
-    seen = set()
     for gens in generator_tuples:
         dense = [dense_matrix(g) for g in gens]
         for signs in range(1 << n):
@@ -290,10 +285,7 @@ def enumerate_stabilizer_states(n: int, _reverse_order: bool = False) -> list:
             for i, d in enumerate(dense):
                 sign = -1 if (signs >> i) & 1 else 1
                 proj = proj @ (eye + sign * d) / 2
-            key = np.round(proj, 9).tobytes()
-            if key not in seen:
-                seen.add(key)
-                states.append(proj)
+            states.append(proj)
     return states
 
 

@@ -105,6 +105,14 @@ def test_rdm_distinct_omegas_with_one_name(tmp_path, capsys):
     assert parse_density_matrix((out / "rdm_12.txt").read_text()).shape == (4, 4)
 
 
+def test_rdm_repeated_index_names_the_set(ghz3_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["rdm", ghz3_file, "--omega", "1,1", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["rdm_1.txt"]
+    assert np.allclose(parse_density_matrix((out / "rdm_1.txt").read_text()),
+                       np.eye(2) / 2)
+
+
 def test_check_self_mode(p4_file, capsys):
     assert main(["check", p4_file]) == 0
     out = capsys.readouterr().out
@@ -202,6 +210,27 @@ def test_missing_file_is_config_error(capsys):
 def test_bad_tol_is_config_error(p4_file, capsys):
     for tol in ("-1", "nan", "inf"):
         assert main(["check", p4_file, "--tol", tol]) == 2
+        assert main(["counterexample", "--tol", tol]) == 2
+
+
+# Options a subcommand never reads are not registered on it.
+_UNREAD_OPTIONS = [("state", "--tol"), ("state", "--json"),
+                   ("rdm", "--tol"), ("rdm", "--json"),
+                   ("check", "--out"),
+                   ("minimal", "--tol"), ("minimal", "--cap"),
+                   ("minimal", "--json"), ("minimal", "--out"),
+                   ("counterexample", "--cap"), ("counterexample", "--out")]
+
+
+@pytest.mark.parametrize("command, option", _UNREAD_OPTIONS)
+def test_unread_option_is_parse_error(command, option, p4_file, ghz3_file,
+                                      tmp_path, capsys):
+    argv = {"state": [p4_file], "rdm": [ghz3_file, "--omega", "0"],
+            "check": [p4_file], "minimal": [ghz3_file], "counterexample": []}
+    value = {"--tol": ["1e-9"], "--cap": ["10"], "--json": [],
+             "--out": [str(tmp_path / "out")]}
+    assert main([command] + argv[command] + [option] + value[option]) == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_cap_env_override(p4_file, monkeypatch, tmp_path, capsys):

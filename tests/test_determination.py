@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from stabdet.f2_pauli import support
+from stabdet.f2_pauli import eliminate, support
 from stabdet.stabilizer import (
     GeneratorSet,
     density_matrix,
@@ -17,10 +18,13 @@ from stabdet.determination import (
     INCONSISTENT,
     UNDERDETERMINED,
     RULE_DIAGONAL,
+    RULE_MAGNITUDE,
     RULE_MINOR_CHAIN,
     RULE_MINOR_COMPLETION,
     RULE_NORMALIZATION,
     RULE_TRANSLATION,
+    RULE_UNUSED_ENTRY,
+    _check_graph_group,
     RdmConstraintSet,
     dense_partial_trace,
     forcing_chain_mixed,
@@ -266,6 +270,77 @@ def test_mixed_chain_shrunken_support_flips_status():
     rdms = RdmConstraintSet.from_state(P4_RHO, supports, 4)
     report = forcing_chain_mixed(P4, P4_GENS, rdms)
     assert report.status == UNDERDETERMINED
+
+
+# --- failure paths of both chains ---
+
+def _scale(m, f):
+    m[0, 2] *= f
+    m[2, 0] *= f
+
+
+def _bump(m, i, j):
+    m[i, j] += 0.01
+    if i != j:
+        m[j, i] += 0.01
+
+
+# Edits of the exact P4 block on {0, 1}, the support of generator 0, whose
+# translation entry is (0, 2).  Per chain: (rule, last indices, log length,
+# message head, max_residual) of the failing step.
+_FAILURES = [
+    (lambda m: _bump(m, 0, 0),
+     (RULE_DIAGONAL, (8, 0), 5, "diagonal entry", 0.25 + 0.01 - 0.25),
+     (RULE_DIAGONAL, (8, 8), 5, "diagonal sum", 0.25 + 0.01 - 0.25)),
+    (lambda m: _scale(m, -1),
+     (RULE_TRANSLATION, (8, 0), 5, "translation entry", 0.5),
+     (RULE_TRANSLATION, (0, 8), 17, "off-diagonal sign", 0.5)),
+    (lambda m: _scale(m, 1.5),
+     (RULE_TRANSLATION, (8, 0), 5, "translation entry", 0.125),
+     (RULE_MAGNITUDE, (0, 8), 17, "off-diagonal magnitude", 0.125)),
+    (lambda m: _bump(m, 0, 1),
+     (RULE_UNUSED_ENTRY, (0,), 17, None, 0.01),
+     (RULE_UNUSED_ENTRY, (0,), 137, None, 0.01)),
+]
+
+
+@pytest.mark.parametrize("edit, pure, mixed", _FAILURES)
+def test_every_failure_path_of_both_chains(edit, pure, mixed):
+    rdms = exact_rdms(P4)
+    key = frozenset({0, 1})
+    rdms.constraints[key] = rdms.constraints[key].copy()
+    edit(rdms.constraints[key])
+    for chain, (rule, indices, steps, wording, residual) in (
+            (forcing_chain_pure, pure), (forcing_chain_mixed, mixed)):
+        report = chain(P4, P4_GENS, rdms)
+        assert report.status == INCONSISTENT and report.state is None
+        last = report.forcing_log[-1]
+        assert (last.rule, last.generator, last.indices) == (rule, 0, indices)
+        assert len(report.forcing_log) == steps
+        if wording is None:
+            assert report.message == (f"constraint on the support of generator 0 "
+                                      f"deviates by {residual:.3g} outside the "
+                                      f"forcing chain")
+        else:
+            assert report.message == (f"{wording} deviates by {residual:.3g} on "
+                                      f"the support of generator 0")
+        assert report.max_residual == residual
+
+
+def test_graph_group_generators_have_independent_x_parts():
+    # Why the chains need no basis check: every accepted generator is the group
+    # element named by its x-part, so n independent generators have n
+    # independent x-parts.
+    rng = np.random.default_rng(37)
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            canon = canonical_generators(g)
+            for gens in [canon] + [recombine_generators(canon, random_invertible_f2(n, rng))
+                                   for _ in range(3)]:
+                _check_graph_group(g, gens)
+                assert len(eliminate([m.v for m in gens.generators])[0]) == n
 
 
 # --- kernel analysis ---

@@ -7,10 +7,7 @@ from stabdet.f2_pauli import (
     PHASES,
     commutes,
     dense_matrix,
-    f2_inverse,
-    f2_null_space,
     f2_rank,
-    f2_solve,
     format_pauli,
     from_binary,
     identity,
@@ -227,56 +224,6 @@ def test_rank_graph_generator_x_block():
     theta = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
     stacked = np.concatenate([theta, np.eye(3, dtype=np.uint8)])
     assert f2_rank(stacked[3:]) == 3
-
-
-def test_solve_random_invertible_by_back_substitution():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        while True:
-            m = rng.integers(0, 2, size=(4, 4)).astype(np.uint8)
-            if f2_rank(m) == 4:
-                break
-        rhs = rng.integers(0, 2, size=4).astype(np.uint8)
-        x = f2_solve(m, rhs)
-        assert np.array_equal((m @ x) % 2, rhs)
-
-
-def test_solve_inconsistent_returns_none():
-    m = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-    assert f2_solve(m, [1, 0]) is None
-
-
-def test_solve_is_deterministic():
-    m = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8)
-    x1 = f2_solve(m, [1, 1])
-    x2 = f2_solve(m, [1, 1])
-    assert np.array_equal(x1, x2)
-    assert np.array_equal((m @ x1) % 2, [1, 1])
-
-
-def test_null_space_members_annihilate():
-    rng = np.random.default_rng(9)
-    m = rng.integers(0, 2, size=(3, 6)).astype(np.uint8)
-    basis = f2_null_space(m)
-    assert len(basis) == 6 - f2_rank(m)
-    for x in basis:
-        assert not np.any((m @ x) % 2)
-
-
-def test_inverse_round_trip():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        while True:
-            m = rng.integers(0, 2, size=(5, 5)).astype(np.uint8)
-            if f2_rank(m) == 5:
-                break
-        inv = f2_inverse(m)
-        assert np.array_equal((m @ inv) % 2, np.eye(5, dtype=np.uint8))
-
-
-def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
-        f2_inverse(np.zeros((2, 2), dtype=np.uint8))
 
 
 # --- text format ---

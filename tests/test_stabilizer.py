@@ -305,12 +305,12 @@ def test_enumerate_states_n1():
         assert any(np.max(np.abs(s - target)) < 1e-9 for s in states)
 
 
-def test_enumerate_states_double_count_oracle():
-    forward = enumerate_stabilizer_states(2)
-    backward = enumerate_stabilizer_states(2, _reverse_order=True)
-    assert len(forward) == len(backward) == 60
-    keys = {np.round(s, 9).tobytes() for s in forward}
-    assert keys == {np.round(s, 9).tobytes() for s in backward}
+def test_enumerate_states_count_and_distinct():
+    # 2^n * prod_{k=1}^{n} (2^k + 1) pure stabilizer states on n qubits
+    for n, count in ((1, 6), (2, 60), (3, 1080)):
+        states = enumerate_stabilizer_states(n)
+        assert len(states) == count
+        assert len({np.round(s, 9).tobytes() for s in states}) == count
 
 
 def test_enumerated_states_are_pure():
