@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from stabdet.cli import _tolerance
 from stabdet.determination import (
     DETERMINED,
     RdmConstraintSet,
@@ -84,8 +85,11 @@ def main() -> int:
     parser.add_argument("--max-qubits", type=int, default=6)
     parser.add_argument("--edge-probability", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=_tolerance, default=1e-9)
     args = parser.parse_args()
+    if not 0 <= args.min_qubits <= args.max_qubits:
+        parser.error("need 0 <= --min-qubits <= --max-qubits, got "
+                     f"{args.min_qubits} and {args.max_qubits}")
     config = SweepConfig(trials=args.trials, min_qubits=args.min_qubits,
                          max_qubits=args.max_qubits,
                          edge_probability=args.edge_probability,

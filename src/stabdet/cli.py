@@ -150,15 +150,19 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise CommandError(str(exc))
 
+    rules = report.forcing_log.counts()
     if args.json:
         print(json.dumps({"status": report.status,
                           "residual": report.max_residual,
                           "steps": len(report.forcing_log),
+                          "rules": rules,
                           "message": report.message}))
     else:
         print("Reconstruction report")
         print(f"  mode: {'pure' if args.pure else 'mixed'}")
         print(f"  forcing steps: {len(report.forcing_log)}")
+        for rule, count in rules.items():
+            print(f"    {rule}: {count}")
         if report.message:
             print(f"  note: {report.message}")
         if report.forcing_log:

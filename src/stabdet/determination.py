@@ -4,19 +4,28 @@ supports of a generating set, with independent oracles and the explicit
 
 The two forcing chains execute the uniqueness arguments as algorithms: every
 amplitude (pure chain) or matrix entry (mixed chain) of the candidate state is
-fixed from the constraints one step at a time, and each step is recorded in a
-forcing log.  A step compares constraint entries with the graph state's; a
-deviation beyond tolerance flips the result to Inconsistent with the violated
-rule named, and only a family that misses a generator's support yields
-Underdetermined.  The mixed chain's checked entries force all others by a
-rank-one completion; both chains end by checking every constraint in full.
+fixed from the constraints one step at a time.  A step compares constraint
+entries with the graph state's, all of one generator's entries in one array
+pass; a deviation beyond tolerance flips the result to Inconsistent with the
+violated rule named, and only a family that misses a generator's support
+yields Underdetermined.  The mixed chain's checked entries force all others by
+a rank-one completion; both chains end by checking every constraint in full.
+
+Each report carries the steps as a ``ForcingLog``: a lazy read-only sequence
+with ``len``, iteration, indexing and per-rule ``counts()``, which builds a
+step only when asked for one, so the mixed chain's 4^n/2-step log costs
+O(2^n) memory.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import accumulate
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,11 +69,61 @@ class ForcingStep:
     generator: Optional[int] = None
 
 
+class _Run(NamedTuple):
+    """A stretch of a forcing log under one rule, generated on demand."""
+    rule: str
+    length: int
+    at: Callable  # k -> the k-th step of the stretch, 0 <= k < length
+
+
+def _stored(step: ForcingStep) -> _Run:
+    return _Run(step.rule, 1, lambda k: step)
+
+
+class ForcingLog(Sequence):
+    """A chain's forcing log: a read-only sequence of ForcingSteps.
+
+    The log is held as runs of steps under one rule, each generating its
+    steps from the chain's setup when asked, so the length and the per-rule
+    counts come without building any step, and ``log[k]`` builds one.
+    """
+
+    def __init__(self, runs: Iterable[_Run] = ()):
+        self._runs = tuple(run for run in runs if run.length)
+        self._ends = list(accumulate(run.length for run in self._runs))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k: int) -> ForcingStep:
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("forcing log index out of range")
+        r = bisect_right(self._ends, k)
+        return self._runs[r].at(k - (self._ends[r - 1] if r else 0))
+
+    def __iter__(self):
+        for run in self._runs:
+            yield from map(run.at, range(run.length))
+
+    def counts(self) -> dict:
+        """Steps per rule, rules in log order."""
+        counts = {}
+        for run in self._runs:
+            counts[run.rule] = counts.get(run.rule, 0) + run.length
+        return counts
+
+    def __repr__(self) -> str:
+        return f"ForcingLog({len(self)} steps, {self.counts()})"
+
+
 @dataclass
 class ReconstructionReport:
     status: str
     state: Optional[np.ndarray]
-    forcing_log: list = field(default_factory=list)
+    forcing_log: ForcingLog = field(default_factory=ForcingLog)
     max_residual: float = 0.0
     message: str = ""
 
@@ -142,7 +201,8 @@ class _ChainSetup:
     omegas: list            # sorted index list per generator
     r_indices: list         # x-part as basis index per generator
     matrices: list          # constraint matrix restricted to each omega
-    order: list             # forcing order: (r-weight, basis index, top generator)
+    forced: np.ndarray      # basis indices in forcing order: r-weight, then index
+    tops: np.ndarray        # the top generator forcing each, -1 at index 0
     signs: np.ndarray       # (-1)^{f} per basis index
 
 
@@ -167,7 +227,7 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
             if superset is None:
                 return None, ReconstructionReport(
                     UNDERDETERMINED, None,
-                    [ForcingStep((s,), RULE_MISSING_SUPPORT, s)],
+                    ForcingLog([_stored(ForcingStep((s,), RULE_MISSING_SUPPORT, s))]),
                     message=f"no constraint covers support {sorted(omega)} "
                             f"of generator {s}")
             full = rdms.constraints[superset]
@@ -179,19 +239,28 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
     # are forced by r-weight, then index, each by the top generator in its code.
     r_indices = [m.v for m in gens.generators]
-    span = [0]
-    for r in r_indices:
-        span += [idx ^ r for idx in span]
-    order = sorted((code.bit_count(), idx, code.bit_length() - 1 if code else None)
-                   for code, idx in enumerate(span))
-    return _ChainSetup(g.n, gens, omegas, r_indices, matrices, order,
-                       sign_vector(g)), None
+    span, weight, top = np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, -1)
+    for s, r in enumerate(r_indices):
+        span = np.concatenate((span, span ^ r))
+        weight = np.concatenate((weight, weight + 1))
+        top = np.concatenate((top, np.full(len(top), s)))
+    order = np.lexsort((span, weight))
+    return _ChainSetup(g.n, gens, omegas, r_indices, matrices, span[order],
+                       top[order], sign_vector(g)), None
 
 
-def _deviations(setup: _ChainSetup, s: int, idx: int) -> tuple:
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    # np.hypot rounds like abs() of one complex number; np.abs of a complex
+    # array may take a vector path that differs in the last bit, which would
+    # make a residual depend on how many entries were checked together.
+    return np.hypot(z.real, z.imag)
+
+
+def _deviations(setup: _ChainSetup, s: int, idx: np.ndarray) -> np.ndarray:
     """How far constraint s is from the graph state at the entries linking
-    idx and idx + r_s: (diagonal at idx, diagonal at idx + r_s, linking
-    entry in magnitude, linking entry in value)."""
+    each index in idx and idx + r_s, gathered by one fancy index per entry
+    kind: one row per index, holding the diagonal at idx, the diagonal at
+    idx + r_s, the linking entry in magnitude and in value."""
     omega = setup.omegas[s]
     other = idx ^ setup.r_indices[s]
     i_w = gather_bits(idx, omega, setup.n)
@@ -199,19 +268,45 @@ def _deviations(setup: _ChainSetup, s: int, idx: int) -> tuple:
     mat = setup.matrices[s]
     scale = 1.0 / (1 << len(omega))
     off = mat[i_w, j_w]
-    return (abs(mat[i_w, i_w] - scale), abs(mat[j_w, j_w] - scale),
-            abs(abs(off) - scale),
-            abs(off - scale * setup.signs[idx] * setup.signs[other]))
+    return np.column_stack((
+        _magnitude(mat[i_w, i_w] - scale), _magnitude(mat[j_w, j_w] - scale),
+        np.abs(_magnitude(off) - scale),
+        _magnitude(off - scale * setup.signs[idx] * setup.signs[other])))
 
 
-def _inconsistent(log: list, step: ForcingStep, dev: float,
+def _forced_deviations(setup: _ChainSetup) -> np.ndarray:
+    """_deviations for every forcing step after index 0, in forcing order."""
+    forced, tops = setup.forced[1:], setup.tops[1:]
+    devs = np.empty((len(forced), 4))
+    for s in range(setup.n):
+        mine = tops == s
+        devs[mine] = _deviations(setup, s, forced[mine])
+    return devs
+
+
+def _first_failure(devs: np.ndarray, tol: float) -> tuple:
+    """Walk devs row by row, one row per forcing step: (row, column) of the
+    first deviation above tol, or (len(devs), None) if there is none, and the
+    largest deviation up to there.  Every deviation before a failing one is
+    within tol, so the failing one is the largest."""
+    flat = devs.ravel()
+    above = np.flatnonzero(flat > tol)
+    if not above.size:
+        return len(devs), None, float(flat.max(initial=0.0))
+    row, col = divmod(int(above[0]), devs.shape[1])
+    return row, col, float(flat[above[0]])
+
+
+def _inconsistent(runs: list, step: ForcingStep, dev: float,
                   wording: str) -> ReconstructionReport:
     """The report of a chain whose step failed by dev."""
-    log.append(step)
     return ReconstructionReport(
-        INCONSISTENT, None, log, dev,
+        INCONSISTENT, None, ForcingLog(runs + [_stored(step)]), dev,
         f"{wording} deviates by {dev:.3g} on the support of generator "
         f"{step.generator}")
+
+
+_NORMALIZATION = _stored(ForcingStep((0, 0), RULE_NORMALIZATION))
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +325,52 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    log = []
-    residual = 0.0
 
-    for weight, idx, top in setup.order:
-        if top is None:
-            log.append(ForcingStep((0, 0), RULE_NORMALIZATION))
-            continue
-        pair = (idx, idx ^ setup.r_indices[top])
-        d_i, d_j, _, d_off = _deviations(setup, top, idx)
-        for dev, rule, wording in ((d_i, RULE_DIAGONAL, "diagonal entry"),
-                                   (d_j, RULE_DIAGONAL, "diagonal entry"),
-                                   (d_off, RULE_TRANSLATION, "translation entry")):
-            residual = max(residual, dev)
-            if dev > tol:
-                return _inconsistent(log, ForcingStep(pair, rule, top), dev, wording)
-        log.append(ForcingStep(pair, RULE_TRANSLATION, top))
+    def translation(k, rule=RULE_TRANSLATION):  # the k-th step after normalization
+        idx, s = int(setup.forced[k + 1]), int(setup.tops[k + 1])
+        return ForcingStep((idx, idx ^ setup.r_indices[s]), rule, s)
 
+    stop, check, residual = _first_failure(_forced_deviations(setup)[:, [0, 1, 3]], tol)
+    runs = [_NORMALIZATION, _Run(RULE_TRANSLATION, stop, translation)]
+    if check is not None:
+        rule, wording = ((RULE_DIAGONAL, "diagonal entry"),
+                         (RULE_DIAGONAL, "diagonal entry"),
+                         (RULE_TRANSLATION, "translation entry"))[check]
+        return _inconsistent(runs, translation(stop, rule), residual, wording)
     state = setup.signs.astype(complex) / math.sqrt(1 << setup.n)
-    report = ReconstructionReport(DETERMINED, state, log, residual)
-    _check_unused_entries(setup, report, tol)
-    return report
+    return _check_unused_entries(setup, runs, residual, tol, state)
 
 
 # ---------------------------------------------------------------------------
 # Mixed-state forcing chain.
 # ---------------------------------------------------------------------------
+
+def _lower_ends(r: int, k):
+    """The k-th index i, ascending, with i < i + r: k with a 0 inserted at
+    the top bit of r."""
+    h = r.bit_length() - 1
+    return ((k >> h) << (h + 1)) | (k & ((1 << h) - 1))
+
+
+def _completion_run(setup: _ChainSetup) -> _Run:
+    """Stage 4: the pairs 0 < i < j that are not one translation apart, row
+    by row; row i skips the j = i + r_s above i."""
+    dim, rs = 1 << setup.n, setup.r_indices
+    rows = np.arange(1, dim)
+    skips = sum(1 - ((rows >> (r.bit_length() - 1)) & 1) for r in rs)
+    ends = np.cumsum(dim - 1 - rows - skips).tolist()
+
+    def at(k):
+        row = bisect_right(ends, k)
+        i = row + 1
+        j = i + 1 + k - (ends[row - 1] if row else 0)
+        for skip in sorted(i ^ r for r in rs if i ^ r > i):
+            if skip <= j:
+                j += 1
+        return ForcingStep((i, j), RULE_MINOR_COMPLETION)
+
+    return _Run(RULE_MINOR_COMPLETION, ends[-1] if ends else 0, at)
+
 
 def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
                         tol: float = DEFAULT_TOL) -> ReconstructionReport:
@@ -273,73 +388,71 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    dim = 1 << setup.n
-    log = []
-    residual = 0.0
+    n, dim, rs = setup.n, 1 << setup.n, setup.r_indices
 
     # Stage 1: the diagonal.
-    for weight, idx, top in setup.order:
-        if top is None:
-            log.append(ForcingStep((0, 0), RULE_NORMALIZATION))
-            continue
-        step = ForcingStep((idx, idx), RULE_DIAGONAL, top)
-        d_i, d_j, _, _ = _deviations(setup, top, idx)
-        for dev in (d_i, d_j):
-            residual = max(residual, dev)
-            if dev > tol:
-                return _inconsistent(log, step, dev, "diagonal sum")
-        log.append(step)
+    def diagonal(k, rule=RULE_DIAGONAL):  # the k-th step after normalization
+        idx = int(setup.forced[k + 1])
+        return ForcingStep((idx, idx), rule, int(setup.tops[k + 1]))
 
-    # Stage 2: entries one generator-translation apart.
-    for s, rs in enumerate(setup.r_indices):
-        for i in range(dim):
-            j = i ^ rs
-            if j < i:
-                continue
-            _, _, d_mag, d_off = _deviations(setup, s, i)
-            for dev, rule, wording in (
-                    (d_mag, RULE_MAGNITUDE, "off-diagonal magnitude"),
-                    (d_off, RULE_TRANSLATION, "off-diagonal sign")):
-                residual = max(residual, dev)
-                if dev > tol:
-                    return _inconsistent(log, ForcingStep((i, j), rule, s), dev, wording)
-            log.append(ForcingStep((i, j), RULE_TRANSLATION, s))
+    stop, check, residual = _first_failure(_forced_deviations(setup)[:, :2], tol)
+    runs = [_NORMALIZATION, _Run(RULE_DIAGONAL, stop, diagonal)]
+    if check is not None:
+        return _inconsistent(runs, diagonal(stop), residual, "diagonal sum")
+
+    # Stage 2: entries one generator-translation apart, by generator.
+    half = dim // 2
+
+    def translation(k, rule=RULE_TRANSLATION):
+        s, k = divmod(k, half)
+        i = _lower_ends(rs[s], k)
+        return ForcingStep((i, i ^ rs[s]), rule, s)
+
+    lower = np.arange(half)
+    devs = np.empty((n * half, 2))
+    for s, r in enumerate(rs):
+        devs[s * half:(s + 1) * half] = _deviations(setup, s, _lower_ends(r, lower))[:, 2:]
+    stop, check, dev = _first_failure(devs, tol)
+    residual = max(residual, dev)
+    runs.append(_Run(RULE_TRANSLATION, stop, translation))
+    if check is not None:
+        rule, wording = ((RULE_MAGNITUDE, "off-diagonal magnitude"),
+                         (RULE_TRANSLATION, "off-diagonal sign"))[check]
+        return _inconsistent(runs, translation(stop, rule), residual, wording)
 
     # Stages 1-2 fix each entry they checked to signs[i] signs[j] / dim, so
     # every 3x3 minor below is one of that exact dyadic rank-one matrix and is
     # zero: the completion is the projector and no entry can fail.
-    # Stage 3: the zero row, by chained minors over partial sums.
-    log.extend(ForcingStep((0, j), RULE_MINOR_CHAIN, top)
-               for weight, j, top in setup.order if weight >= 2)
+    # Stage 3: the zero row, by chained minors over partial sums: the indices
+    # of r-weight 2 and up, which follow index 0 and the n of weight 1.
+    def chain(k):
+        return ForcingStep((0, int(setup.forced[k + n + 1])), RULE_MINOR_CHAIN,
+                           int(setup.tops[k + n + 1]))
+
+    runs.append(_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain))
     # Stage 4: everything else, one minor through the zero row each.
-    translations = set(setup.r_indices)
-    log.extend(ForcingStep((i, j), RULE_MINOR_COMPLETION)
-               for i in range(1, dim) for j in range(i + 1, dim)
-               if i ^ j not in translations)
-
+    runs.append(_completion_run(setup))
     rho = np.outer(setup.signs.astype(complex) / dim, setup.signs)
-    report = ReconstructionReport(DETERMINED, rho, log, residual)
-    _check_unused_entries(setup, report, tol)
-    return report
+    return _check_unused_entries(setup, runs, residual, tol, rho)
 
 
-def _check_unused_entries(setup: _ChainSetup, report: ReconstructionReport,
-                          tol: float) -> None:
+def _check_unused_entries(setup: _ChainSetup, runs: list, residual: float,
+                          tol: float, state: np.ndarray) -> ReconstructionReport:
     """Final hypothesis check: every constraint matrix must equal the marginal
     of the reconstructed state, including entries the chain never touched.
     The state is the graph state, which setup.gens stabilizes, so its marginal
-    is the closed form."""
+    is the closed form.  Returns the chain's report."""
     for s, mat in enumerate(setup.matrices):
         target = stabilizer_rdm(setup.gens, setup.omegas[s], cap=setup.n)
         dev = float(np.max(np.abs(mat - target)))
-        report.max_residual = max(report.max_residual, dev)
+        residual = max(residual, dev)
         if dev > tol:
-            report.status = INCONSISTENT
-            report.state = None
-            report.forcing_log.append(ForcingStep((s,), RULE_UNUSED_ENTRY, s))
-            report.message = (f"constraint on the support of generator {s} "
-                              f"deviates by {dev:.3g} outside the forcing chain")
-            return
+            return ReconstructionReport(
+                INCONSISTENT, None,
+                ForcingLog(runs + [_stored(ForcingStep((s,), RULE_UNUSED_ENTRY, s))]),
+                residual, f"constraint on the support of generator {s} "
+                          f"deviates by {dev:.3g} outside the forcing chain")
+    return ReconstructionReport(DETERMINED, state, ForcingLog(runs), residual)
 
 
 # ---------------------------------------------------------------------------

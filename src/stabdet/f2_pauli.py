@@ -152,22 +152,27 @@ def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
                          gather_bits(op.v, idx, op.n), len(idx))
 
 
-def nonzero_entries(op: PauliOperator) -> tuple:
+def nonzero_entries(ops: Sequence[PauliOperator]) -> tuple:
     """(columns, values) of the one nonzero entry in each row of the dense
-    matrix: row r holds i^{k - |u&v|} (-1)^{|u&r|} at column r ^ v."""
-    rows = np.arange(1 << op.n, dtype=np.int64)
-    parity = rows & op.u
+    matrices of one or more operators on a common qubit count, one array row
+    per operator: row r of an operator holds i^{k - |u&v|} (-1)^{|u&r|} at
+    column r ^ v."""
+    rows = np.arange(1 << ops[0].n, dtype=np.int64)
+    u = np.array([[op.u] for op in ops], dtype=np.int64)
+    v = np.array([[op.v] for op in ops], dtype=np.int64)
+    parity = rows & u
     for shift in (32, 16, 8, 4, 2, 1):
         parity ^= parity >> shift
-    phase = PHASES[(op.phase_exp - (op.u & op.v).bit_count()) % 4]
-    return rows ^ op.v, phase * (1 - 2 * (parity & 1))
+    phase = np.array([[PHASES[(op.phase_exp - (op.u & op.v).bit_count()) % 4]]
+                      for op in ops])
+    return rows ^ v, phase * (1 - 2 * (parity & 1))
 
 
 def dense_matrix(op: PauliOperator, cap: int = DENSE_MATRIX_CAP) -> np.ndarray:
     """Dense 2^n x 2^n complex matrix of the operator."""
     if op.n > cap:
         raise ValueError(f"dense rendering cap exceeded: n={op.n} > {cap}")
-    cols, values = nonzero_entries(op)
+    (cols,), (values,) = nonzero_entries([op])
     m = np.zeros((len(cols), len(cols)), dtype=complex)
     m[np.arange(len(cols)), cols] = values
     return m

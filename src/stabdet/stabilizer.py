@@ -174,25 +174,43 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     return _subgroup_sum(gens, omega)
 
 
+# Entries per numpy pass of _subgroup_sum: bounds its temporaries to a few MiB.
+_SUM_BLOCK = 1 << 16
+
+
 def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     """2^{-|omega|} times the sum over S_omega of the restrictions to omega.
 
     A product of generators lies in S_omega iff its binary part vanishes
     outside omega, so eliminating the outside bits by multiplying the
-    generators themselves leaves a basis of S_omega.
+    generators themselves leaves a basis of S_omega.  Eliminating the x-parts
+    of that basis in turn splits it into shifts, with independent x-parts,
+    and diagonal elements z, so the sum is sum_a a prod_z (I + z) over the
+    products a of the shifts.  Distinct a have distinct x-parts, so each fills
+    its own entries rho[r, r ^ v_a] = a[r, r ^ v_a] d[r ^ v_a], d being the
+    diagonal of prod_z (I + z) / 2^{|omega|}; every value is a power of two
+    times 1, i, -1 or -i, so the sum is exact.
     """
     _require_valid(gens)
     n = gens.n
     outside = ((1 << n) - 1) & ~sum(1 << (n - 1 - j) for j in omega)
     _, inside = eliminate(gens.generators, combine=multiply,
                           key=lambda g: ((g.u & outside) << n) | (g.v & outside))
-    basis = tuple(restrict(g, omega) for g in inside)
+    basis = [restrict(g, omega) for g in inside]
+    shifts, diagonal = eliminate(basis, combine=multiply, key=lambda g: g.v)
     dim = 1 << len(omega)
+    d = np.full(dim, 1.0 / dim)
+    for z in diagonal:  # row r of z holds +-1 at column r
+        d *= 1 + nonzero_entries([z])[1][0].real
+    elements = enumerate_group(GeneratorSet(tuple(shifts.values()), len(omega)))
+    rows = np.arange(dim)
     rho = np.zeros((dim, dim), dtype=complex)
-    for m in enumerate_group(GeneratorSet(basis, len(omega))):
-        cols, values = nonzero_entries(m)
-        rho[np.arange(dim), cols] += values
-    return rho / dim
+    block = max(1, _SUM_BLOCK // dim)
+    for start in range(0, len(elements), block):
+        cols, values = nonzero_entries(elements[start:start + block])
+        # + 0 turns the -0.0 parts of products into +0.0, as a sum would.
+        rho[rows, cols] = values * d[cols] + 0
+    return rho
 
 
 def recombine_generators(gens: GeneratorSet, r_matrix) -> GeneratorSet:

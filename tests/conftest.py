@@ -12,11 +12,12 @@ from stabdet import (
     Graph,
     LocalCliffordLayer,
     canonical_generators,
+    enumerate_group,
     from_binary,
     recombine_generators,
     to_binary,
 )
-from stabdet.f2_pauli import PHASES, f2_rank
+from stabdet.f2_pauli import PHASES, f2_rank, restrict, support
 
 # Single-qubit factors of the (u, v) encoding: I, X, Z, Y.
 SINGLE_QUBIT = {
@@ -34,6 +35,19 @@ def kron_dense(op):
     for bits in zip(*to_binary(op)):
         m = np.kron(m, SINGLE_QUBIT[bits])
     return op.phase * m
+
+
+def subgroup_sum_by_kron(gens, omega):
+    """stabilizer_rdm by its definition, one element at a time: the sum of
+    the dense restrictions to omega of the group elements supported inside
+    omega, divided by 2^|omega|."""
+    omega = sorted(omega)
+    dim = 1 << len(omega)
+    total = np.zeros((dim, dim), dtype=complex)
+    for m in enumerate_group(gens):
+        if support(m) <= set(omega):
+            total += kron_dense(restrict(m, omega))
+    return total / dim
 
 
 def random_graph(n, rng):

@@ -126,6 +126,20 @@ def test_check_pure_mode_json(p4_file, capsys):
     assert payload["residual"] < 1e-12
 
 
+def test_check_reports_steps_per_rule(p4_file, capsys):
+    n, dim = 4, 16
+    counts = {"trace-normalization": 1, "diagonal-uniform": dim - 1,
+              "sign-translation": n * dim // 2, "minor-chain": dim - 1 - n,
+              "minor-completion": (dim - 1) * (dim - 2) // 2 - n * dim // 2 + n}
+    assert main(["check", p4_file, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rules"] == counts
+    assert sum(payload["rules"].values()) == payload["steps"] == dim * (dim + 1) // 2
+    assert main(["check", p4_file]) == 0
+    out = capsys.readouterr().out
+    assert all(f"    {rule}: {count}\n" in out for rule, count in counts.items())
+
+
 def test_check_subset_rdms_nonzero_exit(p4_file, tmp_path, capsys):
     # the shrunken-support family from the counterexample
     rho = density_matrix(canonical_generators(Graph.path(4)))

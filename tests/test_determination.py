@@ -213,6 +213,23 @@ def test_mixed_chain_log_covers_all_parameters():
                    if step.rule == RULE_MINOR_CHAIN)
 
 
+def test_mixed_chain_log_stays_lazy():
+    g = Graph.path(10)
+    gens = canonical_generators(g)
+    rdms = RdmConstraintSet(10, {support(m): stabilizer_rdm(gens, support(m))
+                                 for m in gens.generators})
+    tracemalloc.start()
+    try:
+        report = forcing_chain_mixed(g, gens, rdms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == DETERMINED
+    assert len(report.forcing_log) == 1024 * 1025 // 2
+    # the state alone takes 16 MiB; a list of the 524,800 steps took 112 MiB
+    assert peak < 32 * 2 ** 20
+
+
 def test_mixed_chain_succeeds_on_minimal_support_family():
     rdms = RdmConstraintSet.from_state(
         P4_RHO, [{0, 1, 2}, {1, 2, 3}], 4)
@@ -325,6 +342,26 @@ def test_every_failure_path_of_both_chains(edit, pure, mixed):
             assert report.message == (f"{wording} deviates by {residual:.3g} on "
                                       f"the support of generator 0")
         assert report.max_residual == residual
+
+
+@pytest.mark.parametrize("edit", [None] + [edit for edit, _, _ in _FAILURES],
+                         ids=["exact", "diagonal", "sign", "magnitude", "unused-entry"])
+def test_log_indexing_matches_iteration(edit):
+    rdms = exact_rdms(P4)
+    if edit is not None:
+        key = frozenset({0, 1})
+        rdms.constraints[key] = rdms.constraints[key].copy()
+        edit(rdms.constraints[key])
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        log = chain(P4, P4_GENS, rdms).forcing_log
+        steps = list(log)
+        assert len(steps) == len(log)
+        assert [log[k] for k in range(len(log))] == steps
+        assert [log[-k] for k in range(1, len(log) + 1)] == steps[::-1]
+        assert Counter(step.rule for step in steps) == log.counts()
+        for k in (len(log), -len(log) - 1):
+            with pytest.raises(IndexError):
+                log[k]
 
 
 def test_graph_group_generators_have_independent_x_parts():

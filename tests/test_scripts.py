@@ -10,12 +10,29 @@ import stabdet
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(argv):
+    src = str(Path(stabdet.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable] + argv, cwd=ROOT, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ["scripts/random_graph_sweep.py", "--trials", "5", "--max-qubits", "4"],
     ["scripts/counterexample_demo.py"],
 ])
 def test_script_runs(argv):
-    src = str(Path(stabdet.__file__).resolve().parents[1])
-    result = subprocess.run([sys.executable] + argv, cwd=ROOT, capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    result = run_script(argv)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("args, complaint", [
+    (["--tol", "nan"], "argument --tol: must be a finite positive number"),
+    (["--tol", "inf"], "argument --tol: must be a finite positive number"),
+    (["--tol", "-1"], "argument --tol: must be a finite positive number"),
+    (["--min-qubits", "5", "--max-qubits", "3"], "need 0 <= --min-qubits <= --max-qubits"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "min-above-max"])
+def test_sweep_rejects_bad_options(args, complaint):
+    result = run_script(["scripts/random_graph_sweep.py", "--trials", "2"] + args)
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage:") and complaint in result.stderr
+    assert "Traceback" not in result.stderr

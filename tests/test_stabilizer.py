@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from stabdet.determination import dense_partial_trace
 
 from conftest import (
     group_key,
+    subgroup_sum_by_kron,
     ptrace_by_summation,
     random_graph,
     random_invertible_f2,
@@ -192,6 +195,38 @@ def test_rdm_matches_partial_trace_random():
         got = stabilizer_rdm(gens, omega)
         want = ptrace_by_summation(rho, omega, n)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_subgroup_sums_equal_the_per_element_oracle():
+    rng = np.random.default_rng(43)
+    with_y = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        full = random_stabilizer_set(n, rng)
+        gens = GeneratorSet(full.generators[:int(rng.integers(0, n + 1))], n)
+        assert np.array_equal(density_matrix(gens), subgroup_sum_by_kron(gens, range(n)))
+        for _ in range(3):
+            size = int(rng.integers(1, n + 1))
+            omega = sorted(rng.choice(n, size=size, replace=False).tolist())
+            assert np.array_equal(stabilizer_rdm(gens, omega),
+                                  subgroup_sum_by_kron(gens, omega))
+        with_y += any(m.u & m.v for m in enumerate_group(gens))
+    assert with_y >= 20
+    empty = GeneratorSet((), 0)
+    assert np.array_equal(density_matrix(empty), subgroup_sum_by_kron(empty, []))
+
+
+def test_density_matrix_memory_stays_bounded():
+    gens = canonical_generators(Graph.path(10))
+    tracemalloc.start()
+    try:
+        rho = density_matrix(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.shape == (1024, 1024)
+    # the 2^10 x 2^10 complex result alone takes 16 MiB
+    assert peak <= 32 * 2 ** 20
 
 
 def test_rdm_beyond_enumeration_cap():
