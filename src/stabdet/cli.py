@@ -99,8 +99,9 @@ def _format_state_vector(vec: np.ndarray) -> str:
 
 def cmd_state(args) -> int:
     try:
-        graph = parse_graph_file(_read(args.graph))
+        text = _read(args.graph)
         cap = _resolve_cap(args)
+        graph = parse_graph_file(text, cap=cap)
         vec = state_vector(graph, cap=cap)
         rho = density_matrix(canonical_generators(graph), cap=cap)
     except ValueError as exc:
@@ -133,12 +134,10 @@ def cmd_rdm(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        graph = parse_graph_file(_read(args.graph))
+        text = _read(args.graph)
+        cap = _resolve_cap(args)  # the chains are 2^n-sized whatever the family
+        graph = parse_graph_file(text, cap=cap)
         gens = canonical_generators(graph)
-        # Both chains build 2^n-sized objects, whichever family they check.
-        cap = _resolve_cap(args)
-        if graph.n > cap:
-            raise ValueError(f"dense rendering cap exceeded: n={graph.n} > {cap}")
         if args.rdm:
             rdms = parse_rdm_file(_read(args.rdm), graph.n)
         else:

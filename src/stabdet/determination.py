@@ -197,7 +197,6 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
 @dataclass
 class _ChainSetup:
     n: int
-    gens: GeneratorSet      # generates the graph state's signed group
     omegas: list            # sorted index list per generator
     r_indices: list         # x-part as basis index per generator
     matrices: list          # constraint matrix restricted to each omega
@@ -245,7 +244,7 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
         weight = np.concatenate((weight, weight + 1))
         top = np.concatenate((top, np.full(len(top), s)))
     order = np.lexsort((span, weight))
-    return _ChainSetup(g.n, gens, omegas, r_indices, matrices, span[order],
+    return _ChainSetup(g.n, omegas, r_indices, matrices, span[order],
                        top[order], sign_vector(g)), None
 
 
@@ -438,13 +437,14 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
 
 def _check_unused_entries(setup: _ChainSetup, runs: list, residual: float,
                           tol: float, state: np.ndarray) -> ReconstructionReport:
-    """Final hypothesis check: every constraint matrix must equal the marginal
-    of the reconstructed state, including entries the chain never touched.
-    The state is the graph state, which setup.gens stabilizes, so its marginal
-    is the closed form.  Returns the chain's report."""
-    for s, mat in enumerate(setup.matrices):
-        target = stabilizer_rdm(setup.gens, setup.omegas[s], cap=setup.n)
-        dev = float(np.max(np.abs(mat - target)))
+    """Final hypothesis check, returning the chain's report: every constraint
+    must equal the reconstructed state's marginal, m m^T / 2^n with m the signs
+    indexed by (omega's qubits, the rest); each entry is a sum of +-1, exact."""
+    n = setup.n
+    signs = setup.signs.reshape((2,) * n)
+    for s, (omega, mat) in enumerate(zip(setup.omegas, setup.matrices)):
+        m = np.moveaxis(signs, omega, range(len(omega))).reshape(1 << len(omega), -1)
+        dev = float(np.max(np.abs(mat - m @ m.T / (1 << n))))
         residual = max(residual, dev)
         if dev > tol:
             return ReconstructionReport(

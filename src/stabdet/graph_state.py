@@ -5,7 +5,7 @@ arbitrary full stabilizer generator set into graph form."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -226,9 +226,9 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
 # Text format.
 # ---------------------------------------------------------------------------
 
-def parse_graph_file(text: str) -> Graph:
-    """Line 1 is the vertex count, then one 'u v' edge per line (0-based);
-    duplicate edges and self-loops are rejected."""
+def parse_graph_file(text: str, cap: Optional[int] = None) -> Graph:
+    """Line 1 is the vertex count, checked against cap before any allocation,
+    then one 'u v' edge per line (0-based); no duplicate edges or self-loops."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
@@ -236,6 +236,8 @@ def parse_graph_file(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"line 1: expected vertex count, got {lines[0]!r}") from None
+    if cap is not None and n > cap:
+        raise ValueError(f"dense rendering cap exceeded: n={n} > {cap}")
     theta = np.zeros((n, n), dtype=np.uint8)
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split()

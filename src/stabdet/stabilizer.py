@@ -129,17 +129,16 @@ def enumerate_group(gens: GeneratorSet) -> list:
     implementation-defined and results should be compared as sets.
     """
     _require_valid(gens)
-    if gens.l > ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap exceeded: l={gens.l} > {ENUMERATION_CAP}")
-    current = identity(gens.n)
-    out = [current]
-    prev_gray = 0
-    for k in range(1, 1 << gens.l):
-        gray = k ^ (k >> 1)
-        flipped = (gray ^ prev_gray).bit_length() - 1
-        current = multiply(current, gens.generators[flipped])
-        out.append(current)
-        prev_gray = gray
+    return _gray_walk(gens.generators, gens.n)
+
+
+def _gray_walk(generators: Sequence[PauliOperator], n: int) -> list:
+    """enumerate_group's walk, for generators already known to be valid."""
+    if len(generators) > ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap exceeded: l={len(generators)} > {ENUMERATION_CAP}")
+    out = [identity(n)]
+    for k in range(1, 1 << len(generators)):  # Gray codes k-1, k differ at k's low bit
+        out.append(multiply(out[-1], generators[(k & -k).bit_length() - 1]))
     return out
 
 
@@ -198,11 +197,11 @@ def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
                           key=lambda g: ((g.u & outside) << n) | (g.v & outside))
     basis = [restrict(g, omega) for g in inside]
     shifts, diagonal = eliminate(basis, combine=multiply, key=lambda g: g.v)
+    elements = _gray_walk(tuple(shifts.values()), len(omega))
     dim = 1 << len(omega)
     d = np.full(dim, 1.0 / dim)
     for z in diagonal:  # row r of z holds +-1 at column r
         d *= 1 + nonzero_entries([z])[1][0].real
-    elements = enumerate_group(GeneratorSet(tuple(shifts.values()), len(omega)))
     rows = np.arange(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     block = max(1, _SUM_BLOCK // dim)

@@ -263,6 +263,16 @@ def test_cap_env_override(p4_file, monkeypatch, tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["state", "check"])
+def test_oversized_header_is_refused_before_allocating(command, tmp_path, capsys):
+    # a dense 10^7 x 10^7 adjacency matrix would take 100 TB
+    path = tmp_path / "huge.graph"
+    path.write_text("10000000\n0 1\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: dense rendering cap exceeded: n=10000000 > 10\n"
+
+
 def test_cap_flag_beats_env(p4_file, monkeypatch, tmp_path):
     monkeypatch.setenv("STABDET_CAP", "2")
     out = tmp_path / "out"

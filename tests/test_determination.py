@@ -25,6 +25,8 @@ from stabdet.determination import (
     RULE_TRANSLATION,
     RULE_UNUSED_ENTRY,
     _check_graph_group,
+    _check_unused_entries,
+    _prepare_chain,
     RdmConstraintSet,
     dense_partial_trace,
     forcing_chain_mixed,
@@ -369,15 +371,65 @@ def test_graph_group_generators_have_independent_x_parts():
     # element named by its x-part, so n independent generators have n
     # independent x-parts.
     rng = np.random.default_rng(37)
-    for n in range(1, 5):
+    for g in _all_graphs(4):
+        canon = canonical_generators(g)
+        for gens in [canon] + [recombine_generators(canon, random_invertible_f2(g.n, rng))
+                               for _ in range(3)]:
+            _check_graph_group(g, gens)
+            assert len(eliminate([m.v for m in gens.generators])[0]) == g.n
+
+
+def _all_graphs(max_n):
+    for n in range(1, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
-            canon = canonical_generators(g)
-            for gens in [canon] + [recombine_generators(canon, random_invertible_f2(n, rng))
-                                   for _ in range(3)]:
-                _check_graph_group(g, gens)
-                assert len(eliminate([m.v for m in gens.generators])[0]) == n
+            yield Graph.from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+def _graph_corpus():
+    """All graphs on 1-4 vertices and 10 random graphs for each n = 5-8."""
+    yield from _all_graphs(4)
+    rng = np.random.default_rng(58)
+    for n in range(5, 9):
+        for _ in range(10):
+            yield random_graph(n, rng)
+
+
+def test_closing_check_marginal_is_the_closed_form():
+    # The closing check compares each constraint with the reconstructed
+    # state's marginal.  Fed the closed-form RDMs, its largest deviation is
+    # exactly 0.0, so on every support the two matrices are np.array_equal.
+    rng = np.random.default_rng(59)
+    cases = 0
+    for g in _graph_corpus():
+        canon = canonical_generators(g)
+        for gens in (canon, recombine_generators(canon, random_invertible_f2(g.n, rng))):
+            rdms = RdmConstraintSet(g.n, {support(m): stabilizer_rdm(gens, support(m))
+                                          for m in gens.generators})
+            setup, failure = _prepare_chain(g, gens, rdms, 1e-12)
+            assert failure is None
+            report = _check_unused_entries(setup, [], 0.0, 1e-12, None)
+            assert report.status == DETERMINED and report.max_residual == 0.0
+            cases += 1
+    assert cases == 2 * (75 + 40)
+
+
+@pytest.mark.parametrize("family", ["exact", "superset"])
+def test_chains_compute_no_closed_form_marginal(family, monkeypatch):
+    import stabdet.stabilizer as stabilizer
+    omegas = P4_SUPPORTS if family == "exact" else [frozenset(range(4))]
+    rdms = RdmConstraintSet(4, {w: stabilizer_rdm(P4_GENS, w) for w in omegas})
+    calls = []
+    subgroup_sum = stabilizer._subgroup_sum
+
+    def counting(*args):
+        calls.append(args)
+        return subgroup_sum(*args)
+
+    monkeypatch.setattr(stabilizer, "_subgroup_sum", counting)
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        assert chain(P4, P4_GENS, rdms).status == DETERMINED
+    assert calls == []
 
 
 # --- kernel analysis ---

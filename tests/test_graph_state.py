@@ -201,3 +201,12 @@ def test_graph_file_rejects_duplicates_and_loops():
         parse_graph_file("3\n1 1\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_graph_file("3\n0 1 2\n")
+
+
+def test_graph_file_header_checked_against_cap():
+    text = format_graph_file(Graph.path(4))
+    assert parse_graph_file(text, cap=4) == parse_graph_file(text) == Graph.path(4)
+    with pytest.raises(ValueError, match=r"dense rendering cap exceeded: n=4 > 3"):
+        parse_graph_file(text, cap=3)
+    with pytest.raises(ValueError, match=r"n=10000000 > 10"):
+        parse_graph_file("10000000\n", cap=10)

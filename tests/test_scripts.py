@@ -36,3 +36,14 @@ def test_sweep_rejects_bad_options(args, complaint):
     assert result.returncode == 2
     assert result.stderr.startswith("usage:") and complaint in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_chain_digest_smoke():
+    result = run_script(["scripts/chain_digest.py", "--max-qubits", "3"])
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    # 3 qubit counts x 6 graphs x 2 generating sets x 13 families x 3 tols x 2 chains
+    assert len(lines) == 3 * 6 * 2 * 13 * 3 * 2
+    statuses = {line.split(": ", 1)[1].split()[0] for line in lines}
+    assert statuses == {"Determined", "Inconsistent", "Underdetermined"}
+    assert lines[0].startswith("n=1 graph=0 canonical exact tol=1e-12 pure: Determined")

@@ -96,8 +96,8 @@ def test_generator_set_is_validated_once(monkeypatch):
     for m in gens.generators:
         stabilizer_rdm(gens, support(m))
     lc_to_graph(gens)
-    # _subgroup_sum validates its own S_omega basis sets; count only gens
-    assert sum(arg is gens for arg in seen) == 1
+    # the S_omega bases derived from gens are not validated again
+    assert len(seen) == 1 and seen[0] is gens
     # a cached failing report still fails every call
     bad = GeneratorSet.from_strings(1, ["X", "Z"])
     for _ in range(2):
@@ -122,6 +122,22 @@ def test_enumerate_ghz3_stabilizes_state():
         assert np.allclose(dense_matrix(m) @ vec, vec)
     assert identity(3) in group
     assert parse_pauli("-III") not in group
+
+
+def test_enumeration_cap_holds_before_allocating():
+    gens = canonical_generators(Graph.path(21))
+    with pytest.raises(ValueError, match="enumeration cap exceeded"):
+        enumerate_group(gens)
+    # all 21 qubits: S_omega has 21 shifts, so the walk refuses before the
+    # 2^21-entry diagonal or the 2^21 x 2^21 matrix exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="enumeration cap exceeded"):
+            stabilizer_rdm(gens, range(21), cap=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_enumerate_empty_set():
