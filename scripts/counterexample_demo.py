@@ -11,6 +11,7 @@ separates the two states.
 
 import argparse
 
+from stabdet.cli import _tolerance
 from stabdet.determination import (
     COUNTEREXAMPLE_IMPOSTOR_GENERATORS,
     verify_counterexample,
@@ -21,7 +22,7 @@ from stabdet.graph_state import Graph, canonical_generators
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=_tolerance, default=1e-9)
     args = parser.parse_args()
 
     graph_gens = canonical_generators(Graph.path(4))

@@ -201,7 +201,7 @@ def cmd_counterexample(args) -> int:
         print(f"shrunken-support marginals all agree: {report.marginals_agree}")
         for w, dev in sorted(report.distinguishing_supports.items(),
                              key=lambda kv: sorted(kv[0])):
-            tag = "distinguishes" if dev > 1e-9 else "agrees"
+            tag = "distinguishes" if dev > args.tol else "agrees"
             print(f"  full support {sorted(w)}: {tag} (deviation {dev:.3g})")
         print(f"full-support family result: {report.full_set_status}")
     return EXIT_OK if report.all_pass else 1

@@ -9,7 +9,7 @@ entries with the graph state's, all of one generator's entries in one array
 pass; a deviation beyond tolerance flips the result to Inconsistent with the
 violated rule named, and only a family that misses a generator's support
 yields Underdetermined.  The mixed chain's checked entries force all others by
-a rank-one completion; both chains end by checking every constraint in full.
+a rank-one completion; both chains end by checking every supplied block in full.
 
 Each report carries the steps as a ``ForcingLog``: a lazy read-only sequence
 with ``len``, iteration, indexing and per-rule ``counts()``, which builds a
@@ -196,43 +196,59 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
 
 @dataclass
 class _ChainSetup:
+    """Log steps read its arrays, never it, so a report does not pin the tables."""
     n: int
-    omegas: list            # sorted index list per generator
     r_indices: list         # x-part as basis index per generator
-    matrices: list          # constraint matrix restricted to each omega
+    tables: dict            # omega -> (sub-index, |C - M|, C, owner)
+    reads: list             # the omega each generator's checks read
     forced: np.ndarray      # basis indices in forcing order: r-weight, then index
     tops: np.ndarray        # the top generator forcing each, -1 at index 0
     signs: np.ndarray       # (-1)^{f} per basis index
 
 
+def _by_size(w) -> tuple:
+    return len(w), sorted(w)
+
+
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    # np.hypot rounds like abs() of one complex number; np.abs of a complex
+    # array may take a vector path that differs in the last bit, which would
+    # make a residual depend on how many entries were checked together.
+    return np.hypot(z.real, z.imag)
+
+
 def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
                    tol: float):
-    """Common validation; returns (_ChainSetup, None) or (None, failure report)."""
+    """Common validation; returns (_ChainSetup, None) or (None, failure report).
+
+    Each generator reads the smallest constraint covering its support.  Each
+    constraint C on omega is tabulated once against the state's marginal
+    M = m m^T / 2^n, m the signs indexed by (omega's qubits, the rest): sums
+    of +-1 / 2^n, exact; its owner is the first generator with support omega."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     _check_graph_group(g, gens)
     if rdms.n != g.n:
         raise ValueError("constraint set qubit count does not match the graph")
 
-    omegas, matrices = [], []
-    for s, m in enumerate(gens.generators):
-        omega = support(m)
-        exact = rdms.constraints.get(omega)
-        if exact is not None:
-            matrices.append(exact)
-        else:
-            superset = min((w for w in rdms.constraints if w >= omega),
-                           key=lambda w: (len(w), sorted(w)), default=None)
-            if superset is None:
-                return None, ReconstructionReport(
-                    UNDERDETERMINED, None,
-                    ForcingLog([_stored(ForcingStep((s,), RULE_MISSING_SUPPORT, s))]),
-                    message=f"no constraint covers support {sorted(omega)} "
-                            f"of generator {s}")
-            full = rdms.constraints[superset]
-            inner = [sorted(superset).index(j) for j in sorted(omega)]
-            matrices.append(dense_partial_trace(full, inner))
-        omegas.append(sorted(omega))
+    supports = [support(m) for m in gens.generators]
+    reads = [min((w for w in rdms.constraints if w >= omega), key=_by_size, default=None)
+             for omega in supports]
+    if None in reads:
+        s = reads.index(None)
+        return None, ReconstructionReport(
+            UNDERDETERMINED, None,
+            ForcingLog([_stored(ForcingStep((s,), RULE_MISSING_SUPPORT, s))]),
+            message=f"no constraint covers support {sorted(supports[s])} of generator {s}")
+
+    n, signs, tables = g.n, sign_vector(g), {}
+    for w in list(dict.fromkeys(reads)) + sorted(rdms.constraints.keys() - set(reads),
+                                                 key=_by_size):
+        qubits, c = sorted(w), rdms.constraints[w]
+        m = np.moveaxis(signs.reshape((2,) * n), qubits, range(len(w))).reshape(len(c), -1)
+        tables[w] = (gather_bits(np.arange(1 << n), qubits, n),
+                     _magnitude(c - m @ m.T / (1 << n)), c,
+                     supports.index(w) if w in supports else None)
 
     # Each generator is the group element named by its x-part, so the n
     # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
@@ -244,33 +260,18 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
         weight = np.concatenate((weight, weight + 1))
         top = np.concatenate((top, np.full(len(top), s)))
     order = np.lexsort((span, weight))
-    return _ChainSetup(g.n, omegas, r_indices, matrices, span[order],
-                       top[order], sign_vector(g)), None
-
-
-def _magnitude(z: np.ndarray) -> np.ndarray:
-    # np.hypot rounds like abs() of one complex number; np.abs of a complex
-    # array may take a vector path that differs in the last bit, which would
-    # make a residual depend on how many entries were checked together.
-    return np.hypot(z.real, z.imag)
+    return _ChainSetup(n, r_indices, tables, reads, span[order], top[order], signs), None
 
 
 def _deviations(setup: _ChainSetup, s: int, idx: np.ndarray) -> np.ndarray:
-    """How far constraint s is from the graph state at the entries linking
-    each index in idx and idx + r_s, gathered by one fancy index per entry
-    kind: one row per index, holding the diagonal at idx, the diagonal at
-    idx + r_s, the linking entry in magnitude and in value."""
-    omega = setup.omegas[s]
-    other = idx ^ setup.r_indices[s]
-    i_w = gather_bits(idx, omega, setup.n)
-    j_w = gather_bits(other, omega, setup.n)
-    mat = setup.matrices[s]
-    scale = 1.0 / (1 << len(omega))
-    off = mat[i_w, j_w]
-    return np.column_stack((
-        _magnitude(mat[i_w, i_w] - scale), _magnitude(mat[j_w, j_w] - scale),
-        np.abs(_magnitude(off) - scale),
-        _magnitude(off - scale * setup.signs[idx] * setup.signs[other])))
+    """How far the constraint W that generator s reads is from the graph
+    state at the entries linking each index in idx and idx + r_s, one row per
+    index gathered from W's tables: both diagonals, and the linking entry in
+    magnitude and in value, whose target is +-2^-|W| as g_s acts inside W."""
+    sub, dev, c, _ = setup.tables[setup.reads[s]]
+    i_w, j_w = sub[idx], sub[idx ^ setup.r_indices[s]]
+    return np.column_stack((dev[i_w, i_w], dev[j_w, j_w],
+                            np.abs(_magnitude(c[i_w, j_w]) - 1 / len(c)), dev[i_w, j_w]))
 
 
 def _forced_deviations(setup: _ChainSetup) -> np.ndarray:
@@ -318,16 +319,17 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
 
     Each amplitude index is expanded in the basis of generator x-parts and
     forced by stripping the highest set exponent first; the step checks the
-    diagonal entries and the linking off-diagonal entry of the constraint on
-    that generator's support.
+    diagonal entries and the linking off-diagonal entry of the constraint
+    that generator reads.
     """
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
+    forced, tops, rs = setup.forced, setup.tops, setup.r_indices
 
     def translation(k, rule=RULE_TRANSLATION):  # the k-th step after normalization
-        idx, s = int(setup.forced[k + 1]), int(setup.tops[k + 1])
-        return ForcingStep((idx, idx ^ setup.r_indices[s]), rule, s)
+        idx, s = int(forced[k + 1]), int(tops[k + 1])
+        return ForcingStep((idx, idx ^ rs[s]), rule, s)
 
     stop, check, residual = _first_failure(_forced_deviations(setup)[:, [0, 1, 3]], tol)
     runs = [_NORMALIZATION, _Run(RULE_TRANSLATION, stop, translation)]
@@ -387,12 +389,12 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    n, dim, rs = setup.n, 1 << setup.n, setup.r_indices
+    n, dim, rs, forced, tops = setup.n, 1 << setup.n, setup.r_indices, setup.forced, setup.tops
 
     # Stage 1: the diagonal.
     def diagonal(k, rule=RULE_DIAGONAL):  # the k-th step after normalization
-        idx = int(setup.forced[k + 1])
-        return ForcingStep((idx, idx), rule, int(setup.tops[k + 1]))
+        idx = int(forced[k + 1])
+        return ForcingStep((idx, idx), rule, int(tops[k + 1]))
 
     stop, check, residual = _first_failure(_forced_deviations(setup)[:, :2], tol)
     runs = [_NORMALIZATION, _Run(RULE_DIAGONAL, stop, diagonal)]
@@ -425,8 +427,7 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     # Stage 3: the zero row, by chained minors over partial sums: the indices
     # of r-weight 2 and up, which follow index 0 and the n of weight 1.
     def chain(k):
-        return ForcingStep((0, int(setup.forced[k + n + 1])), RULE_MINOR_CHAIN,
-                           int(setup.tops[k + n + 1]))
+        return ForcingStep((0, int(forced[k + n + 1])), RULE_MINOR_CHAIN, int(tops[k + n + 1]))
 
     runs.append(_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain))
     # Stage 4: everything else, one minor through the zero row each.
@@ -437,21 +438,19 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
 
 def _check_unused_entries(setup: _ChainSetup, runs: list, residual: float,
                           tol: float, state: np.ndarray) -> ReconstructionReport:
-    """Final hypothesis check, returning the chain's report: every constraint
-    must equal the reconstructed state's marginal, m m^T / 2^n with m the signs
-    indexed by (omega's qubits, the rest); each entry is a sum of +-1, exact."""
-    n = setup.n
-    signs = setup.signs.reshape((2,) * n)
-    for s, (omega, mat) in enumerate(zip(setup.omegas, setup.matrices)):
-        m = np.moveaxis(signs, omega, range(len(omega))).reshape(1 << len(omega), -1)
-        dev = float(np.max(np.abs(mat - m @ m.T / (1 << n))))
+    """Final hypothesis check, returning the chain's report: every supplied
+    constraint, read or not, must equal the reconstructed state's marginal in
+    every entry, in the order of the first generator reading it, then by size.
+    A failing block is named by its owner, else by its qubits."""
+    for w, (_, dev, _, s) in setup.tables.items():
+        dev = float(dev.max())
         residual = max(residual, dev)
         if dev > tol:
+            step = ForcingStep((s,) if s is not None else tuple(sorted(w)), RULE_UNUSED_ENTRY, s)
+            where = f"the support of generator {s}" if s is not None else f"qubits {sorted(w)}"
             return ReconstructionReport(
-                INCONSISTENT, None,
-                ForcingLog(runs + [_stored(ForcingStep((s,), RULE_UNUSED_ENTRY, s))]),
-                residual, f"constraint on the support of generator {s} "
-                          f"deviates by {dev:.3g} outside the forcing chain")
+                INCONSISTENT, None, ForcingLog(runs + [_stored(step)]), residual,
+                f"constraint on {where} deviates by {dev:.3g} outside the forcing chain")
     return ReconstructionReport(DETERMINED, state, ForcingLog(runs), residual)
 
 
@@ -607,7 +606,7 @@ def parse_rdm_file(text: str, n: int) -> RdmConstraintSet:
 
 def format_rdm_file(rdms: RdmConstraintSet) -> str:
     blocks = []
-    for omega in sorted(rdms.constraints, key=lambda w: (len(w), sorted(w))):
+    for omega in sorted(rdms.constraints, key=_by_size):
         header = "omega: " + ",".join(str(j) for j in sorted(omega))
         blocks.append(header + "\n" + format_density_matrix(rdms.constraints[omega]))
     return "\n".join(blocks)

@@ -169,6 +169,21 @@ def test_check_perturbed_rdms_inconsistent(p4_file, tmp_path, capsys):
     assert "rule" in out
 
 
+def test_check_unread_block_inconsistent(p4_file, tmp_path, capsys):
+    # P4's marginal on {0, 3} is I/4; no generator reads that block
+    gens = canonical_generators(Graph.path(4))
+    rdms = RdmConstraintSet.from_state(
+        density_matrix(gens), [support(m) for m in gens.generators], 4)
+    rdms.constraints[frozenset({0, 3})] = np.diag([1, 0, 0, 0]).astype(complex)
+    rdm_path = tmp_path / "unread.rdm"
+    rdm_path.write_text(format_rdm_file(rdms))
+    for mode in ([], ["--pure"]):
+        assert main(["check", p4_file, "--rdm", str(rdm_path)] + mode) == 3
+        out = capsys.readouterr().out
+        assert "constraint on qubits [0, 3] deviates by 0.75" in out
+        assert "status=Inconsistent" in out
+
+
 def test_non_finite_rdm_is_config_error(p4_file, tmp_path, capsys):
     gens = canonical_generators(Graph.path(4))
     text = format_rdm_file(RdmConstraintSet.from_state(
@@ -200,6 +215,12 @@ def test_counterexample_command(capsys):
     out = capsys.readouterr().out
     assert "trace distance" in out
     assert "Determined" in out
+
+
+def test_counterexample_tag_follows_tol(capsys):
+    assert main(["counterexample", "--tol", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert "agrees (deviation 0.125)" in out and "distinguishes" not in out
 
 
 def test_counterexample_json(capsys):

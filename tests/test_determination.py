@@ -298,10 +298,14 @@ def _scale(m, f):
     m[2, 0] *= f
 
 
-def _bump(m, i, j):
-    m[i, j] += 0.01
+def _bump(m, i, j, d=0.01):
+    m[i, j] += d
     if i != j:
-        m[j, i] += 0.01
+        m[j, i] += np.conj(d)
+
+
+# |d| rounds up to 0.010000000000000002, where a vectorised np.abs gives 0.01.
+_ROUNDED = 0.0033875520457621456 - 0.00940874546032853j
 
 
 # Edits of the exact P4 block on {0, 1}, the support of generator 0, whose
@@ -320,6 +324,9 @@ _FAILURES = [
     (lambda m: _bump(m, 0, 1),
      (RULE_UNUSED_ENTRY, (0,), 17, None, 0.01),
      (RULE_UNUSED_ENTRY, (0,), 137, None, 0.01)),
+    (lambda m: _bump(m, 0, 1, _ROUNDED),
+     (RULE_UNUSED_ENTRY, (0,), 17, None, abs(_ROUNDED)),
+     (RULE_UNUSED_ENTRY, (0,), 137, None, abs(_ROUNDED))),
 ]
 
 
@@ -346,8 +353,40 @@ def test_every_failure_path_of_both_chains(edit, pure, mixed):
         assert report.max_residual == residual
 
 
+def test_unread_block_is_checked():
+    # No generator reads {0, 3}, where P4's marginal is I/4; a valid state
+    # there that is not I/4 still contradicts the graph state.
+    rdms = exact_rdms(P4)
+    rdms.constraints[frozenset({0, 3})] = np.diag([1, 0, 0, 0]).astype(complex)
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        report = chain(P4, P4_GENS, rdms)
+        assert report.status == INCONSISTENT and report.state is None
+        last = report.forcing_log[-1]
+        assert (last.rule, last.generator, last.indices) == (RULE_UNUSED_ENTRY, None, (0, 3))
+        assert report.message == ("constraint on qubits [0, 3] deviates by 0.75 "
+                                  "outside the forcing chain")
+        assert report.max_residual == 0.75
+
+
+def test_superset_block_is_checked_in_full():
+    # X0 X3 lies inside no generator support, so the partial trace of the
+    # full window onto any of them hides it; the window itself does not.
+    x = np.array([[0, 1], [1, 0]])
+    window = P4_RHO + 0.05 * np.kron(np.kron(x, np.eye(4)), x) / 16
+    rdms = RdmConstraintSet(4, {frozenset(range(4)): window})
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        report = chain(P4, P4_GENS, rdms)
+        assert report.status == INCONSISTENT and report.state is None
+        last = report.forcing_log[-1]
+        assert (last.rule, last.generator, last.indices) == (RULE_UNUSED_ENTRY, None,
+                                                              (0, 1, 2, 3))
+        assert report.message == ("constraint on qubits [0, 1, 2, 3] deviates by "
+                                  "0.00313 outside the forcing chain")
+
+
 @pytest.mark.parametrize("edit", [None] + [edit for edit, _, _ in _FAILURES],
-                         ids=["exact", "diagonal", "sign", "magnitude", "unused-entry"])
+                         ids=["exact", "diagonal", "sign", "magnitude", "unused-entry",
+                              "rounded-residual"])
 def test_log_indexing_matches_iteration(edit):
     rdms = exact_rdms(P4)
     if edit is not None:
@@ -416,17 +455,22 @@ def test_closing_check_marginal_is_the_closed_form():
 
 @pytest.mark.parametrize("family", ["exact", "superset"])
 def test_chains_compute_no_closed_form_marginal(family, monkeypatch):
+    # Nor a dense partial trace: a superset block is read directly.
+    import stabdet.determination as determination
     import stabdet.stabilizer as stabilizer
     omegas = P4_SUPPORTS if family == "exact" else [frozenset(range(4))]
     rdms = RdmConstraintSet(4, {w: stabilizer_rdm(P4_GENS, w) for w in omegas})
     calls = []
-    subgroup_sum = stabilizer._subgroup_sum
 
-    def counting(*args):
-        calls.append(args)
-        return subgroup_sum(*args)
+    def counting(f):
+        def counted(*args):
+            calls.append(args)
+            return f(*args)
+        return counted
 
-    monkeypatch.setattr(stabilizer, "_subgroup_sum", counting)
+    monkeypatch.setattr(stabilizer, "_subgroup_sum", counting(stabilizer._subgroup_sum))
+    monkeypatch.setattr(determination, "dense_partial_trace",
+                        counting(determination.dense_partial_trace))
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         assert chain(P4, P4_GENS, rdms).status == DETERMINED
     assert calls == []

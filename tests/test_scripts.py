@@ -25,14 +25,19 @@ def test_script_runs(argv):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("args, complaint", [
-    (["--tol", "nan"], "argument --tol: must be a finite positive number"),
-    (["--tol", "inf"], "argument --tol: must be a finite positive number"),
-    (["--tol", "-1"], "argument --tol: must be a finite positive number"),
-    (["--min-qubits", "5", "--max-qubits", "3"], "need 0 <= --min-qubits <= --max-qubits"),
-], ids=["tol-nan", "tol-inf", "tol-negative", "min-above-max"])
-def test_sweep_rejects_bad_options(args, complaint):
-    result = run_script(["scripts/random_graph_sweep.py", "--trials", "2"] + args)
+_SWEEP = ["scripts/random_graph_sweep.py", "--trials", "2"]
+_DEMO = ["scripts/counterexample_demo.py"]
+_BAD_TOL = "argument --tol: must be a finite positive number"
+
+
+@pytest.mark.parametrize("argv, complaint", [
+    pytest.param(script + ["--tol", tol], _BAD_TOL, id=f"{prefix}tol-{name}")
+    for script, prefix in ((_SWEEP, ""), (_DEMO, "demo-"))
+    for name, tol in (("nan", "nan"), ("inf", "inf"), ("negative", "-1"))
+] + [pytest.param(_SWEEP + ["--min-qubits", "5", "--max-qubits", "3"],
+                  "need 0 <= --min-qubits <= --max-qubits", id="min-above-max")])
+def test_sweep_rejects_bad_options(argv, complaint):
+    result = run_script(argv)
     assert result.returncode == 2
     assert result.stderr.startswith("usage:") and complaint in result.stderr
     assert "Traceback" not in result.stderr
