@@ -33,7 +33,6 @@ from .f2_pauli import (
     DEFAULT_TOL,
     KERNEL_CAP,
     dense_matrix,
-    gather_bits,
     support,
 )
 from .stabilizer import (
@@ -223,8 +222,9 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
 
     Each generator reads the smallest constraint covering its support.  Each
     constraint C on omega is tabulated once against the state's marginal
-    M = m m^T / 2^n, m the signs indexed by (omega's qubits, the rest): sums
-    of +-1 / 2^n, exact; its owner is the first generator with support omega."""
+    M = m m^T / 2^n, m = signs[at] with at[a, r] the basis index of omega bits
+    a and rest r, and sub inverts at.  M is exact and real, so |C - M| is taken
+    as hypot(Re C - M, Im C).  Its owner is the first generator with support omega."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     _check_graph_group(g, gens)
@@ -242,12 +242,12 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
             message=f"no constraint covers support {sorted(supports[s])} of generator {s}")
 
     n, signs, tables = g.n, sign_vector(g), {}
+    basis = np.arange(1 << n).reshape((2,) * n)
     for w in list(dict.fromkeys(reads)) + sorted(rdms.constraints.keys() - set(reads),
                                                  key=_by_size):
-        qubits, c = sorted(w), rdms.constraints[w]
-        m = np.moveaxis(signs.reshape((2,) * n), qubits, range(len(w))).reshape(len(c), -1)
-        tables[w] = (gather_bits(np.arange(1 << n), qubits, n),
-                     _magnitude(c - m @ m.T / (1 << n)), c,
+        at = np.moveaxis(basis, sorted(w), range(len(w))).reshape(1 << len(w), -1)
+        c, m, sub = rdms.constraints[w], signs[at], np.argsort(at, axis=None) >> (n - len(w))
+        tables[w] = (sub, np.hypot(c.real - m @ m.T / (1 << n), c.imag), c,
                      supports.index(w) if w in supports else None)
 
     # Each generator is the group element named by its x-part, so the n
