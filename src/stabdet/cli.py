@@ -203,6 +203,7 @@ def cmd_counterexample(args) -> int:
                              key=lambda kv: sorted(kv[0])):
             tag = "distinguishes" if dev > args.tol else "agrees"
             print(f"  full support {sorted(w)}: {tag} (deviation {dev:.3g})")
+        print(f"full-support family separates the states: {report.full_set_distinguishes}")
         print(f"full-support family result: {report.full_set_status}")
     return EXIT_OK if report.all_pass else 1
 

@@ -4,12 +4,14 @@ supports of a generating set, with independent oracles and the explicit
 
 The two forcing chains execute the uniqueness arguments as algorithms: every
 amplitude (pure chain) or matrix entry (mixed chain) of the candidate state is
-fixed from the constraints one step at a time.  A step compares constraint
-entries with the graph state's, all of one generator's entries in one array
-pass; a deviation beyond tolerance flips the result to Inconsistent with the
-violated rule named, and only a family that misses a generator's support
-yields Underdetermined.  The mixed chain's checked entries force all others by
-a rank-one completion; both chains end by checking every supplied block in full.
+fixed from the constraints one step at a time, and the mixed chain's checked
+entries force all others by a rank-one completion.  Only a family that misses
+a generator's support yields Underdetermined.  Otherwise the deviation tables
+decide: each supplied block is tabulated once against the graph state's
+marginal, and the chain is Determined iff every entry is within tolerance.
+Every step's check reads a table entry or is bounded by one, so the stages are
+walked only when a table fails, to name the first step beyond tolerance and
+its rule; when no step fails, the failing block itself is named.
 
 Each report carries the steps as a ``ForcingLog``: a lazy read-only sequence
 with ``len``, iteration, indexing and per-rule ``counts()``, which builds a
@@ -23,7 +25,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -33,6 +35,7 @@ from .f2_pauli import (
     DEFAULT_TOL,
     KERNEL_CAP,
     dense_matrix,
+    index_set,
     support,
 )
 from .stabilizer import (
@@ -137,11 +140,7 @@ class RdmConstraintSet:
     def __post_init__(self):
         normalized = {}
         for omega, rho in self.constraints.items():
-            key = frozenset(int(j) for j in omega)
-            if not key:
-                raise ValueError("empty index set")
-            if any(j < 0 or j >= self.n for j in key):
-                raise ValueError(f"index out of range for {self.n} qubits: {sorted(key)}")
+            key = index_set(omega, self.n)
             rho = np.asarray(rho, dtype=complex)
             dim = 1 << len(key)
             if rho.shape != (dim, dim):
@@ -163,9 +162,7 @@ def dense_partial_trace(rho: np.ndarray, keep: Iterable[int]) -> np.ndarray:
     n = dim.bit_length() - 1
     if rho.shape != (dim, dim) or (1 << n) != dim:
         raise ValueError("input must be a square matrix of power-of-two size")
-    keep = sorted(set(int(j) for j in keep))
-    if not keep or keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"bad index set {keep} for {n} qubits")
+    keep = sorted(index_set(keep, n))
     arr = rho.reshape((2,) * (2 * n))
     m = n
     for j in [q for q in range(n) if q not in keep][::-1]:
@@ -284,26 +281,42 @@ def _forced_deviations(setup: _ChainSetup) -> np.ndarray:
     return devs
 
 
-def _first_failure(devs: np.ndarray, tol: float) -> tuple:
-    """Walk devs row by row, one row per forcing step: (row, column) of the
-    first deviation above tol, or (len(devs), None) if there is none, and the
-    largest deviation up to there.  Every deviation before a failing one is
-    within tol, so the failing one is the largest."""
-    flat = devs.ravel()
-    above = np.flatnonzero(flat > tol)
-    if not above.size:
-        return len(devs), None, float(flat.max(initial=0.0))
-    row, col = divmod(int(above[0]), devs.shape[1])
-    return row, col, float(flat[above[0]])
+def _report(setup: _ChainSetup, tol: float, stages: list, tail: list,
+            state: Callable) -> ReconstructionReport:
+    """A chain's report, decided by the deviation tables alone.
 
-
-def _inconsistent(runs: list, step: ForcingStep, dev: float,
-                  wording: str) -> ReconstructionReport:
-    """The report of a chain whose step failed by dev."""
+    If every table entry is within tol the chain is Determined: the residual
+    is the largest entry, the log holds every run at full length, and no stage
+    deviation is computed.  Each stage deviation is a table entry or is
+    bounded by one, so otherwise the stages, each a (run, thunk of the run's
+    deviations, one (rule, wording) per deviation column), are walked only to
+    name the first step above tol: that step under its column's rule.  Failing
+    none, the first failing table is named, by its owner, else by its qubits."""
+    worst = {w: float(dev.max()) for w, (_, dev, _, _) in setup.tables.items()}
+    residual, runs = max(worst.values(), default=0.0), [_NORMALIZATION]
+    if residual <= tol:
+        return ReconstructionReport(
+            DETERMINED, state(), ForcingLog(runs + [run for run, _, _ in stages] + tail),
+            residual)
+    for run, deviations, columns in stages:
+        devs = deviations()
+        above = np.flatnonzero(devs > tol)
+        if above.size:
+            k, col = divmod(int(above[0]), devs.shape[1])
+            rule, wording = columns[col]
+            step, dev = replace(run.at(k), rule=rule), float(devs.flat[above[0]])
+            return ReconstructionReport(
+                INCONSISTENT, None, ForcingLog(runs + [run._replace(length=k), _stored(step)]),
+                dev, f"{wording} deviates by {dev:.3g} on the support of generator "
+                     f"{step.generator}")
+        runs.append(run)
+    w = next(w for w, dev in worst.items() if dev > tol)
+    s = setup.tables[w][3]
+    step = ForcingStep((s,) if s is not None else tuple(sorted(w)), RULE_UNUSED_ENTRY, s)
+    where = f"the support of generator {s}" if s is not None else f"qubits {sorted(w)}"
     return ReconstructionReport(
-        INCONSISTENT, None, ForcingLog(runs + [_stored(step)]), dev,
-        f"{wording} deviates by {dev:.3g} on the support of generator "
-        f"{step.generator}")
+        INCONSISTENT, None, ForcingLog(runs + tail + [_stored(step)]), worst[w],
+        f"constraint on {where} deviates by {worst[w]:.3g} outside the forcing chain")
 
 
 _NORMALIZATION = _stored(ForcingStep((0, 0), RULE_NORMALIZATION))
@@ -327,19 +340,16 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
         return failure
     forced, tops, rs = setup.forced, setup.tops, setup.r_indices
 
-    def translation(k, rule=RULE_TRANSLATION):  # the k-th step after normalization
+    def translation(k):  # the k-th step after normalization
         idx, s = int(forced[k + 1]), int(tops[k + 1])
-        return ForcingStep((idx, idx ^ rs[s]), rule, s)
+        return ForcingStep((idx, idx ^ rs[s]), RULE_TRANSLATION, s)
 
-    stop, check, residual = _first_failure(_forced_deviations(setup)[:, [0, 1, 3]], tol)
-    runs = [_NORMALIZATION, _Run(RULE_TRANSLATION, stop, translation)]
-    if check is not None:
-        rule, wording = ((RULE_DIAGONAL, "diagonal entry"),
-                         (RULE_DIAGONAL, "diagonal entry"),
-                         (RULE_TRANSLATION, "translation entry"))[check]
-        return _inconsistent(runs, translation(stop, rule), residual, wording)
-    state = setup.signs.astype(complex) / math.sqrt(1 << setup.n)
-    return _check_unused_entries(setup, runs, residual, tol, state)
+    stage = (_Run(RULE_TRANSLATION, len(forced) - 1, translation),
+             lambda: _forced_deviations(setup)[:, [0, 1, 3]],
+             ((RULE_DIAGONAL, "diagonal entry"), (RULE_DIAGONAL, "diagonal entry"),
+              (RULE_TRANSLATION, "translation entry")))
+    return _report(setup, tol, [stage], [],
+                   lambda: setup.signs.astype(complex) / math.sqrt(1 << setup.n))
 
 
 # ---------------------------------------------------------------------------
@@ -392,36 +402,31 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     n, dim, rs, forced, tops = setup.n, 1 << setup.n, setup.r_indices, setup.forced, setup.tops
 
     # Stage 1: the diagonal.
-    def diagonal(k, rule=RULE_DIAGONAL):  # the k-th step after normalization
+    def diagonal(k):  # the k-th step after normalization
         idx = int(forced[k + 1])
-        return ForcingStep((idx, idx), rule, int(tops[k + 1]))
-
-    stop, check, residual = _first_failure(_forced_deviations(setup)[:, :2], tol)
-    runs = [_NORMALIZATION, _Run(RULE_DIAGONAL, stop, diagonal)]
-    if check is not None:
-        return _inconsistent(runs, diagonal(stop), residual, "diagonal sum")
+        return ForcingStep((idx, idx), RULE_DIAGONAL, int(tops[k + 1]))
 
     # Stage 2: entries one generator-translation apart, by generator.
     half = dim // 2
 
-    def translation(k, rule=RULE_TRANSLATION):
+    def translation(k):
         s, k = divmod(k, half)
         i = _lower_ends(rs[s], k)
-        return ForcingStep((i, i ^ rs[s]), rule, s)
+        return ForcingStep((i, i ^ rs[s]), RULE_TRANSLATION, s)
 
-    lower = np.arange(half)
-    devs = np.empty((n * half, 2))
-    for s, r in enumerate(rs):
-        devs[s * half:(s + 1) * half] = _deviations(setup, s, _lower_ends(r, lower))[:, 2:]
-    stop, check, dev = _first_failure(devs, tol)
-    residual = max(residual, dev)
-    runs.append(_Run(RULE_TRANSLATION, stop, translation))
-    if check is not None:
-        rule, wording = ((RULE_MAGNITUDE, "off-diagonal magnitude"),
-                         (RULE_TRANSLATION, "off-diagonal sign"))[check]
-        return _inconsistent(runs, translation(stop, rule), residual, wording)
+    def translation_deviations():
+        lower = np.arange(half)
+        return np.concatenate([_deviations(setup, s, _lower_ends(r, lower))[:, 2:]
+                               for s, r in enumerate(rs)])
 
-    # Stages 1-2 fix each entry they checked to signs[i] signs[j] / dim, so
+    stages = [(_Run(RULE_DIAGONAL, dim - 1, diagonal),
+               lambda: _forced_deviations(setup)[:, :2],
+               ((RULE_DIAGONAL, "diagonal sum"), (RULE_DIAGONAL, "diagonal sum"))),
+              (_Run(RULE_TRANSLATION, n * half, translation), translation_deviations,
+               ((RULE_MAGNITUDE, "off-diagonal magnitude"),
+                (RULE_TRANSLATION, "off-diagonal sign")))]
+
+    # Stages 1-2 pin each entry they read to signs[i] signs[j] / dim, so
     # every 3x3 minor below is one of that exact dyadic rank-one matrix and is
     # zero: the completion is the projector and no entry can fail.
     # Stage 3: the zero row, by chained minors over partial sums: the indices
@@ -429,29 +434,10 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     def chain(k):
         return ForcingStep((0, int(forced[k + n + 1])), RULE_MINOR_CHAIN, int(tops[k + n + 1]))
 
-    runs.append(_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain))
     # Stage 4: everything else, one minor through the zero row each.
-    runs.append(_completion_run(setup))
-    rho = np.outer(setup.signs.astype(complex) / dim, setup.signs)
-    return _check_unused_entries(setup, runs, residual, tol, rho)
-
-
-def _check_unused_entries(setup: _ChainSetup, runs: list, residual: float,
-                          tol: float, state: np.ndarray) -> ReconstructionReport:
-    """Final hypothesis check, returning the chain's report: every supplied
-    constraint, read or not, must equal the reconstructed state's marginal in
-    every entry, in the order of the first generator reading it, then by size.
-    A failing block is named by its owner, else by its qubits."""
-    for w, (_, dev, _, s) in setup.tables.items():
-        dev = float(dev.max())
-        residual = max(residual, dev)
-        if dev > tol:
-            step = ForcingStep((s,) if s is not None else tuple(sorted(w)), RULE_UNUSED_ENTRY, s)
-            where = f"the support of generator {s}" if s is not None else f"qubits {sorted(w)}"
-            return ReconstructionReport(
-                INCONSISTENT, None, ForcingLog(runs + [_stored(step)]), residual,
-                f"constraint on {where} deviates by {dev:.3g} outside the forcing chain")
-    return ReconstructionReport(DETERMINED, state, ForcingLog(runs), residual)
+    tail = [_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain), _completion_run(setup)]
+    return _report(setup, tol, stages, tail,
+                   lambda: np.outer(setup.signs.astype(complex) / dim, setup.signs))
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +469,7 @@ def rdm_kernel(n: int, omegas: Iterable) -> KernelBasis:
     """
     if n > KERNEL_CAP:
         raise ValueError(f"kernel analysis capped at n = {KERNEL_CAP}")
-    omegas = [frozenset(int(j) for j in w) for w in omegas]
-    for w in omegas:
-        if not w or min(w) < 0 or max(w) >= n:
-            raise ValueError(f"bad index set {sorted(w)} for {n} qubits")
+    omegas = [index_set(w, n) for w in omegas]
     scale = 1.0 / math.sqrt(1 << n)
     elements = [scale * dense_matrix(p) for p in _all_nontrivial_paulis(n)
                 if not any(support(p) <= w for w in omegas)]
@@ -525,12 +508,14 @@ class CounterexampleReport:
     distinguishing_supports: dict  # support -> max marginal deviation
     full_set_status: str
     states_differ: bool
-    marginals_agree: bool
+    marginals_agree: bool            # every shared support within tol
+    full_set_distinguishes: bool     # some full support beyond tol
     full_set_determined: bool
 
     @property
     def all_pass(self) -> bool:
-        return self.states_differ and self.marginals_agree and self.full_set_determined
+        return (self.states_differ and self.marginals_agree
+                and self.full_set_distinguishes and self.full_set_determined)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -541,8 +526,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def verify_counterexample(tol: float = DEFAULT_TOL) -> CounterexampleReport:
     """Compare the 4-qubit path graph state with the rank-2 mixed state of the
     dropped-generator set: they differ, yet agree on the marginals of the
-    shrunken support family; the full support family still determines the
-    graph state."""
+    shrunken support family; the full support family still tells them apart
+    and determines the graph state.  Agreement means within tol."""
     g = Graph.path(4)
     gens = canonical_generators(g)
     impostor = GeneratorSet.from_strings(4, COUNTEREXAMPLE_IMPOSTOR_GENERATORS)
@@ -564,7 +549,8 @@ def verify_counterexample(tol: float = DEFAULT_TOL) -> CounterexampleReport:
         distinguishing_supports=distinguishing,
         full_set_status=report.status,
         states_differ=dist > 0.1,
-        marginals_agree=all(dev < 1e-12 for dev in shared.values()),
+        marginals_agree=all(dev <= tol for dev in shared.values()),
+        full_set_distinguishes=any(dev > tol for dev in distinguishing.values()),
         full_set_determined=report.status == DETERMINED,
     )
 

@@ -143,6 +143,16 @@ def support(op: PauliOperator) -> frozenset:
     return frozenset(set_positions(op.u | op.v, op.n))
 
 
+def index_set(omega: Iterable[int], n: int) -> frozenset:
+    """omega as a frozenset of qubit indices, required non-empty and in range."""
+    omega = frozenset(int(j) for j in omega)
+    if not omega:
+        raise ValueError("empty index set")
+    if min(omega) < 0 or max(omega) >= n:
+        raise ValueError(f"index out of range for {n} qubits: {sorted(omega)}")
+    return omega
+
+
 def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
     """Tensor product of the factors at positions in omega, ascending, phase kept."""
     idx = sorted(set(int(j) for j in omega))

@@ -105,12 +105,13 @@ def state_vector(g: Graph, cap: int = DENSE_VECTOR_CAP) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Conjugation action U P U^dag of the single-qubit gates used by the
-# reduction on the qubit's (u, v) bits: (u', v', s) with sign (-1)^s.
+# reduction, applied on the qubits of a mask at once: (u, v, mask) to
+# (u', v', sign mask), with sign (-1)^popcount(sign mask).
 _GATE_ACTION = {
-    "H": lambda u, v: (v, u, u & v),      # basis exchange
-    "S": lambda u, v: (u ^ v, v, u & v),  # quarter phase
-    "X": lambda u, v: (u, v, u),
-    "Z": lambda u, v: (u, v, v),
+    "H": lambda u, v, m: (u ^ ((u ^ v) & m), v ^ ((u ^ v) & m), u & v & m),  # basis exchange
+    "S": lambda u, v, m: (u ^ (v & m), v, u & v & m),                        # quarter phase
+    "X": lambda u, v, m: (u, v, u & m),
+    "Z": lambda u, v, m: (u, v, v & m),
 }
 _GATE_DENSE = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -120,15 +121,12 @@ _GATE_DENSE = {
 }
 
 
-def _conjugate_qubit(op: PauliOperator, gate: str, q: int) -> PauliOperator:
-    """Exact image U op U^dag for one single-qubit gate U on qubit q."""
+def _conjugate(op: PauliOperator, gate: str, mask: int) -> PauliOperator:
+    """Exact image U op U^dag for one single-qubit gate U on every qubit of mask."""
     if gate not in _GATE_ACTION:
         raise ValueError(f"unknown gate {gate!r}")
-    shift = op.n - 1 - q
-    u, v, sign = _GATE_ACTION[gate]((op.u >> shift) & 1, (op.v >> shift) & 1)
-    keep = ~(1 << shift)
-    return PauliOperator((op.phase_exp + 2 * sign) % 4, (op.u & keep) | (u << shift),
-                         (op.v & keep) | (v << shift), op.n)
+    u, v, sign = _GATE_ACTION[gate](op.u, op.v, mask)
+    return PauliOperator((op.phase_exp + 2 * sign.bit_count()) % 4, u, v, op.n)
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,7 @@ class LocalCliffordLayer:
             raise ValueError(f"size mismatch: {op.n} vs {self.n}")
         for q, seq in enumerate(self.gates):
             for gate in seq:
-                op = _conjugate_qubit(op, gate, q)
+                op = _conjugate(op, gate, 1 << (op.n - 1 - q))
         return op
 
     def qubit_unitary(self, q: int) -> np.ndarray:
@@ -175,51 +173,40 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
     """Reduce a full stabilizer generator set to graph form.
 
     Returns (graph, layer) such that conjugating the input group by the layer
-    gives exactly the graph state's stabilizer group.  The procedure repairs
-    the rank of the x-block with basis-exchange gates (chosen at the lowest
-    support index of a pure-z group combination, which provably raises the
-    rank), recombines by the inverse of the x-block, clears the diagonal with
-    quarter-phase gates, and absorbs generator signs into Pauli corrections.
-    Both x-block steps eliminate x-parts by multiplying the generators: the
-    first product with no x-part is the pure-z combination, and the reduced
-    pivots are the recombination by the inverse (x-part X_j for generator j).
+    gives exactly the graph state's stabilizer group.  One elimination of the
+    x-parts, by multiplying the generators, leaves the products with no
+    x-part.  Their z-parts commute with every generator, so they are
+    orthogonal to every x-part, and there are n - rank of them: they span the
+    kernel of the x-block.  Basis-exchange gates on their pivot qubits P make
+    the x-block invertible: the z-parts restricted to P form a triangular,
+    invertible minor, so an element left with no x-part would have an x-part
+    inside P orthogonal to the kernel, hence zero, and a kernel z-part zero on
+    P, hence zero.  The reduced pivots of a second elimination are then the
+    recombination by the inverse of the x-block (x-part X_j for generator j);
+    quarter-phase gates clear the diagonal of the z-block, and Pauli Z
+    corrections absorb the -1 generator signs.
     """
     _require_valid(gens)
     if gens.l != gens.n:
         raise ValueError(f"need a full generating set: l={gens.l}, n={gens.n}")
-    n = gens.n
-    gate_lists = [[] for _ in range(n)]
-    ops = list(gens.generators)
+    n, ops, masks = gens.n, list(gens.generators), {}
 
-    def apply_gate(q, gate):
-        gate_lists[q].append(gate)
-        ops[:] = [_conjugate_qubit(op, gate, q) for op in ops]
+    def apply(gate, mask):
+        masks[gate] = mask
+        return [_conjugate(op, gate, mask) for op in ops]
 
-    while True:
-        _, pure_z = eliminate(ops, key=lambda op: op.v, combine=multiply)
-        if not pure_z:
-            break
-        apply_gate(n - pure_z[0].u.bit_length(), "H")  # lowest qubit in its z-part
-
+    _, pure_z = eliminate(ops, key=lambda op: op.v, combine=multiply)
+    ops = apply("H", sum(1 << h for h in eliminate(op.u for op in pure_z)[0]))
     pivots, _ = eliminate(ops, key=lambda op: op.v, combine=multiply, reduced=True)
     ops = [pivots[n - 1 - j] for j in range(n)]
-
-    for j in range(n):
-        if (ops[j].u >> (n - 1 - j)) & 1:
-            apply_gate(j, "S")
-
+    ops = apply("S", sum(op.u & op.v for op in ops))
     graph = Graph(unpack_rows([op.u for op in ops], n).T)
+    ops = apply("Z", sum(op.v for op in ops if op.phase_exp == 2))
 
-    for s in range(n):
-        if ops[s].phase_exp == 2:
-            apply_gate(s, "Z")
-        elif ops[s].phase_exp in (1, 3):
-            raise AssertionError("reduced generator acquired an imaginary phase")
-
-    expected = canonical_generators(graph).generators
-    if tuple(ops) != expected:
+    if tuple(ops) != canonical_generators(graph).generators:
         raise AssertionError("graph-form reduction failed to reach canonical form")
-    return graph, LocalCliffordLayer(tuple(tuple(seq) for seq in gate_lists))
+    return graph, LocalCliffordLayer(tuple(tuple(gate for gate in masks if masks[gate] >> q & 1)
+                                           for q in range(n - 1, -1, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .f2_pauli import (
     format_pauli,
     gather_bits,
     identity,
+    index_set,
     multiply,
     nonzero_entries,
     pack_rows,
@@ -163,11 +164,7 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     come from GF(2) elimination on the generators, so the cost is
     poly(n) + 2^k 4^{|omega|} whatever the group order.
     """
-    omega = frozenset(int(j) for j in omega)
-    if not omega:
-        raise ValueError("empty index set")
-    if any(j < 0 or j >= gens.n for j in omega):
-        raise ValueError(f"index out of range for {gens.n} qubits: {sorted(omega)}")
+    omega = index_set(omega, gens.n)
     if len(omega) > cap:
         raise ValueError(f"dense rendering cap exceeded: |omega|={len(omega)} > {cap}")
     return _subgroup_sum(gens, omega)

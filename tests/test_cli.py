@@ -10,7 +10,13 @@ import pytest
 
 import stabdet
 from stabdet.cli import main
-from stabdet.determination import RdmConstraintSet, format_rdm_file
+from stabdet.determination import (
+    DETERMINED,
+    RdmConstraintSet,
+    forcing_chain_mixed,
+    forcing_chain_pure,
+    format_rdm_file,
+)
 from stabdet.graph_state import Graph, canonical_generators, format_graph_file
 from stabdet.stabilizer import (
     density_matrix,
@@ -218,9 +224,25 @@ def test_counterexample_command(capsys):
 
 
 def test_counterexample_tag_follows_tol(capsys):
-    assert main(["counterexample", "--tol", "0.3"]) == 0
+    assert main(["counterexample", "--tol", "0.3"]) == 1
     out = capsys.readouterr().out
     assert "agrees (deviation 0.125)" in out and "distinguishes" not in out
+
+
+def test_zero_qubit_graph_is_determined(tmp_path, capsys):
+    # No tables: the largest deviation is 0.0 and the log is the trace
+    # normalization alone.
+    g = Graph(np.zeros((0, 0), dtype=np.uint8))
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        report = chain(g, canonical_generators(g), RdmConstraintSet(0, {}))
+        assert (report.status, len(report.forcing_log), report.max_residual) == \
+            (DETERMINED, 1, 0.0)
+    path = tmp_path / "empty.graph"
+    path.write_text("0\n")
+    for extra in ([], ["--pure"]):
+        assert main(["check", str(path), "--json", *extra]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["steps"]) == (DETERMINED, 1)
 
 
 def test_counterexample_json(capsys):

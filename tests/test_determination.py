@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabdet.f2_pauli import eliminate, support
 from stabdet.stabilizer import (
@@ -25,8 +27,9 @@ from stabdet.determination import (
     RULE_TRANSLATION,
     RULE_UNUSED_ENTRY,
     _check_graph_group,
-    _check_unused_entries,
+    _deviations,
     _prepare_chain,
+    _report,
     RdmConstraintSet,
     dense_partial_trace,
     forcing_chain_mixed,
@@ -353,6 +356,55 @@ def test_every_failure_path_of_both_chains(edit, pure, mixed):
         assert report.max_residual == residual
 
 
+@pytest.mark.parametrize("edit, pure, mixed", [(None, None, None)] + _FAILURES)
+def test_stages_are_walked_only_to_name_a_failure(edit, pure, mixed, monkeypatch):
+    # The tables decide: an exact family computes no stage deviation, and a
+    # failing one walks the stages to name the step _FAILURES expects.
+    import stabdet.determination as determination
+    calls = Counter()
+    for name in ("_forced_deviations", "_deviations"):
+        def counted(*args, f=getattr(determination, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(determination, name, counted)
+    rdms = exact_rdms(P4)
+    if edit is not None:
+        key = frozenset({0, 1})
+        rdms.constraints[key] = rdms.constraints[key].copy()
+        edit(rdms.constraints[key])
+    for chain, expected in ((forcing_chain_pure, pure), (forcing_chain_mixed, mixed)):
+        calls.clear()
+        report = chain(P4, P4_GENS, rdms)
+        if expected is None:
+            assert report.status == DETERMINED and report.max_residual == 0.0
+            assert not calls
+        else:
+            assert calls["_forced_deviations"] and calls["_deviations"]
+            last = report.forcing_log[-1]
+            assert (last.rule, last.indices) == expected[:2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.integers(-20, -1))
+def test_magnitude_column_never_exceeds_the_table_entry(n, seed, exponent):
+    # Why the tables decide: column 2, ||c| - 2^-|W||, is at most the table
+    # entry |c - M| at the same position, column 3, as |M| = 2^-|W| there.
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, rng)
+    gens = recombine_generators(canonical_generators(g), random_invertible_f2(n, rng))
+    blocks = {}
+    for m in gens.generators:
+        w = support(m) | {int(rng.integers(n))}
+        c = stabilizer_rdm(gens, w)
+        blocks[w] = c + 10.0 ** exponent * (rng.normal(size=c.shape)
+                                            + 1j * rng.normal(size=c.shape))
+    setup, failure = _prepare_chain(g, gens, RdmConstraintSet(n, blocks), 1.0)
+    assert failure is None
+    for s in range(n):
+        devs = _deviations(setup, s, np.arange(1 << n))
+        assert np.all(devs[:, 2] <= devs[:, 3])
+
+
 def test_unread_block_is_checked():
     # No generator reads {0, 3}, where P4's marginal is I/4; a valid state
     # there that is not I/4 still contradicts the graph state.
@@ -447,7 +499,7 @@ def test_closing_check_marginal_is_the_closed_form():
                                           for m in gens.generators})
             setup, failure = _prepare_chain(g, gens, rdms, 1e-12)
             assert failure is None
-            report = _check_unused_entries(setup, [], 0.0, 1e-12, None)
+            report = _report(setup, 1e-12, [], [], lambda: None)
             assert report.status == DETERMINED and report.max_residual == 0.0
             cases += 1
     assert cases == 2 * (75 + 40)

@@ -6,6 +6,7 @@ from stabdet.stabilizer import GeneratorSet, density_matrix, enumerate_group, va
 from stabdet.graph_state import (
     Graph,
     LocalCliffordLayer,
+    _conjugate,
     canonical_generators,
     format_graph_file,
     lc_to_graph,
@@ -145,6 +146,17 @@ def test_layer_conjugation_matches_dense():
         lhs = u @ dense_matrix(op) @ u.conj().T
         rhs = dense_matrix(layer.conjugate(op))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_mask_conjugation_is_qubit_by_qubit():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        op, gate, mask = random_pauli(n, rng), str(rng.choice(["H", "S", "X", "Z"])), \
+            int(rng.integers(0, 1 << n))
+        layer = LocalCliffordLayer(tuple((gate,) if mask >> (n - 1 - q) & 1 else ()
+                                         for q in range(n)))
+        assert _conjugate(op, gate, mask) == layer.conjugate(op)  # one qubit at a time
 
 
 def test_lc_to_graph_canonical_input_identity_layer():

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +54,8 @@ def test_chain_digest_smoke():
     statuses = {line.split(": ", 1)[1].split()[0] for line in lines}
     assert statuses == {"Determined", "Inconsistent", "Underdetermined"}
     assert lines[0].startswith("n=1 graph=0 canonical exact tol=1e-12 pure: Determined")
+    # Everything but the residuals is pinned: statuses, logs, rule counts,
+    # states and messages.
+    pinned = "\n".join(re.sub(r" residual=\S+", "", line) for line in lines)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == (
+        "72bf2c17eee15d034debcc8a7b76b273283d17bf054037dc898519e053a5aa5e")
