@@ -10,8 +10,13 @@ a generator's support yields Underdetermined.  Otherwise the deviation tables
 decide: each supplied block is tabulated once against the graph state's
 marginal, and the chain is Determined iff every entry is within tolerance.
 Every step's check reads a table entry or is bounded by one, so the stages are
-walked only when a table fails, to name the first step beyond tolerance and
-its rule; when no step fails, the failing block itself is named.
+walked only when a table fails, and only for the generators reading a failing
+table, to name the first step beyond tolerance and its rule; when no step
+fails, the failing block itself is named.  What the
+chains need from the graph and generators alone (the group check, signs,
+forcing order and the state's marginal on each block) is built once per
+(graph, generators) and shared by both chains; only the tables, which read
+the supplied blocks, are taken per call.
 
 Each report carries the steps as a ``ForcingLog``: a lazy read-only sequence
 with ``len``, iteration, indexing and per-rule ``counts()``, which builds a
@@ -26,6 +31,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -190,16 +196,83 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
             raise ValueError(f"generator {s} is not an element of the graph's group")
 
 
-@dataclass
-class _ChainSetup:
-    """Log steps read its arrays, never it, so a report does not pin the tables."""
-    n: int
-    r_indices: list         # x-part as basis index per generator
-    tables: dict            # omega -> (sub-index, |C - M|, C, owner)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _omega_rows(values: np.ndarray, w, n: int) -> np.ndarray:
+    # Row a, column r: the value at the basis index with omega bits a, rest r.
+    axes = sorted(w) + [q for q in range(n) if q not in w]
+    return values.reshape((2,) * n).transpose(axes).reshape(1 << len(w), -1)
+
+
+class _GraphSide:
+    """What both chains need from (gens, graph) alone, built once per family:
+    nothing is read from the constraints, which a caller may edit between
+    calls.  Every array is read-only."""
+
+    def __init__(self, g: Graph, gens: GeneratorSet):
+        _check_graph_group(g, gens)
+        # (-1)^{f} per basis index, first, so that sign_vector's 2^n x n
+        # temporaries peak while nothing else of the family is alive.
+        self.signs = _read_only(sign_vector(g))
+        # Each generator is the group element named by its x-part, so the n
+        # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
+        # are forced by r-weight, then index, each by the top generator in its code.
+        self.n, self.supports = g.n, [support(m) for m in gens.generators]
+        self.r_indices = [m.v for m in gens.generators]
+        span, weight, top = np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, -1)
+        for s, r in enumerate(self.r_indices):
+            span = np.concatenate((span, span ^ r))
+            weight = np.concatenate((weight, weight + 1))
+            top = np.concatenate((top, np.full(len(top), s)))
+        order = np.lexsort((span, weight))
+        # forced: the basis indices in forcing order; tops: the generator
+        # forcing each, -1 at index 0.
+        self.forced, self.tops = _read_only(span[order]), _read_only(top[order])
+        self.marginals, self.subs = {}, {}  # omega -> M, omega -> sub-index
+
+    def marginal(self, w: frozenset) -> np.ndarray:
+        """The state's marginal on omega, m m^T / 2^n with m the signs as
+        _omega_rows: sums of +-1 over a power of two, so exact."""
+        if w not in self.marginals:
+            m = _omega_rows(self.signs, w, self.n)
+            self.marginals[w] = _read_only(m @ m.T / (1 << self.n))
+        return self.marginals[w]
+
+    def sub(self, w: frozenset) -> np.ndarray:
+        """Each basis index's omega bits, a row of omega's block, in the
+        smallest unsigned dtype that holds one."""
+        if w not in self.subs:
+            at = _omega_rows(np.arange(1 << self.n), w, self.n)
+            sub = np.empty(1 << self.n, np.min_scalar_type(len(at) - 1))
+            sub[at] = np.arange(len(at))[:, None]
+            self.subs[w] = _read_only(sub)
+        return self.subs[w]
+
+
+# The last family's graph side, keyed by (gens, adjacency bytes) as Graph is
+# not hashable: both chains of one family share it.  The old entry goes before
+# a new one is built, and a failed check stores none.
+_GRAPH_SIDE: dict = {}
+
+
+def _graph_side(g: Graph, gens: GeneratorSet) -> _GraphSide:
+    key = (gens, g.theta.tobytes())
+    side = _GRAPH_SIDE.get(key)
+    if side is None:
+        _GRAPH_SIDE.clear()
+        side = _GRAPH_SIDE[key] = _GraphSide(g, gens)
+    return side
+
+
+class _ChainSetup(NamedTuple):
+    """One call's tables over the graph side.  Log steps read the graph
+    side's arrays, never this, so a report does not pin the tables."""
+    side: _GraphSide
+    tables: dict            # omega -> (|C - M|, C, owner)
     reads: list             # the omega each generator's checks read
-    forced: np.ndarray      # basis indices in forcing order: r-weight, then index
-    tops: np.ndarray        # the top generator forcing each, -1 at index 0
-    signs: np.ndarray       # (-1)^{f} per basis index
 
 
 def _by_size(w) -> tuple:
@@ -218,17 +291,16 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     """Common validation; returns (_ChainSetup, None) or (None, failure report).
 
     Each generator reads the smallest constraint covering its support.  Each
-    constraint C on omega is tabulated once against the state's marginal
-    M = m m^T / 2^n, m = signs[at] with at[a, r] the basis index of omega bits
-    a and rest r, and sub inverts at.  M is exact and real, so |C - M| is taken
-    as hypot(Re C - M, Im C).  Its owner is the first generator with support omega."""
+    constraint C on omega is tabulated against the graph side's marginal M.
+    M is exact and real, so |C - M| is taken as hypot(Re C - M, Im C).  Its
+    owner is the first generator with support omega."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-    _check_graph_group(g, gens)
+    side = _graph_side(g, gens)
     if rdms.n != g.n:
         raise ValueError("constraint set qubit count does not match the graph")
 
-    supports = [support(m) for m in gens.generators]
+    supports = side.supports
     reads = [min((w for w in rdms.constraints if w >= omega), key=_by_size, default=None)
              for omega in supports]
     if None in reads:
@@ -238,26 +310,15 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
             ForcingLog([_stored(ForcingStep((s,), RULE_MISSING_SUPPORT, s))]),
             message=f"no constraint covers support {sorted(supports[s])} of generator {s}")
 
-    n, signs, tables = g.n, sign_vector(g), {}
-    basis = np.arange(1 << n).reshape((2,) * n)
+    tables = {}
     for w in list(dict.fromkeys(reads)) + sorted(rdms.constraints.keys() - set(reads),
                                                  key=_by_size):
-        at = np.moveaxis(basis, sorted(w), range(len(w))).reshape(1 << len(w), -1)
-        c, m, sub = rdms.constraints[w], signs[at], np.argsort(at, axis=None) >> (n - len(w))
-        tables[w] = (sub, np.hypot(c.real - m @ m.T / (1 << n), c.imag), c,
+        c = rdms.constraints[w]
+        d = c.real - side.marginal(w)
+        # hypot(d, 0) is |d| exactly, so a real block takes the cheaper abs.
+        tables[w] = (np.hypot(d, c.imag) if c.imag.any() else np.abs(d), c,
                      supports.index(w) if w in supports else None)
-
-    # Each generator is the group element named by its x-part, so the n
-    # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
-    # are forced by r-weight, then index, each by the top generator in its code.
-    r_indices = [m.v for m in gens.generators]
-    span, weight, top = np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, -1)
-    for s, r in enumerate(r_indices):
-        span = np.concatenate((span, span ^ r))
-        weight = np.concatenate((weight, weight + 1))
-        top = np.concatenate((top, np.full(len(top), s)))
-    order = np.lexsort((span, weight))
-    return _ChainSetup(n, r_indices, tables, reads, span[order], top[order], signs), None
+    return _ChainSetup(side, tables, reads), None
 
 
 def _deviations(setup: _ChainSetup, s: int, idx: np.ndarray) -> np.ndarray:
@@ -265,17 +326,20 @@ def _deviations(setup: _ChainSetup, s: int, idx: np.ndarray) -> np.ndarray:
     state at the entries linking each index in idx and idx + r_s, one row per
     index gathered from W's tables: both diagonals, and the linking entry in
     magnitude and in value, whose target is +-2^-|W| as g_s acts inside W."""
-    sub, dev, c, _ = setup.tables[setup.reads[s]]
-    i_w, j_w = sub[idx], sub[idx ^ setup.r_indices[s]]
+    w = setup.reads[s]
+    dev, c, _ = setup.tables[w]
+    sub = setup.side.sub(w)
+    i_w, j_w = sub[idx], sub[idx ^ setup.side.r_indices[s]]
     return np.column_stack((dev[i_w, i_w], dev[j_w, j_w],
                             np.abs(_magnitude(c[i_w, j_w]) - 1 / len(c)), dev[i_w, j_w]))
 
 
-def _forced_deviations(setup: _ChainSetup) -> np.ndarray:
-    """_deviations for every forcing step after index 0, in forcing order."""
-    forced, tops = setup.forced[1:], setup.tops[1:]
-    devs = np.empty((len(forced), 4))
-    for s in range(setup.n):
+def _forced_deviations(setup: _ChainSetup, walked: list) -> np.ndarray:
+    """_deviations for every forcing step after index 0, in forcing order,
+    for the steps of the generators in walked; zero for the others."""
+    forced, tops = setup.side.forced[1:], setup.side.tops[1:]
+    devs = np.zeros((len(forced), 4))
+    for s in walked:
         mine = tops == s
         devs[mine] = _deviations(setup, s, forced[mine])
     return devs
@@ -288,18 +352,22 @@ def _report(setup: _ChainSetup, tol: float, stages: list, tail: list,
     If every table entry is within tol the chain is Determined: the residual
     is the largest entry, the log holds every run at full length, and no stage
     deviation is computed.  Each stage deviation is a table entry or is
-    bounded by one, so otherwise the stages, each a (run, thunk of the run's
-    deviations, one (rule, wording) per deviation column), are walked only to
-    name the first step above tol: that step under its column's rule.  Failing
-    none, the first failing table is named, by its owner, else by its qubits."""
-    worst = {w: float(dev.max()) for w, (_, dev, _, _) in setup.tables.items()}
+    bounded by one, so otherwise the stages, each a (run, function of the
+    generators to walk giving the run's deviations, zero for the others, one
+    (rule, wording) per deviation column), are walked only to name the first
+    step above tol: that step under its column's rule.  A generator's steps
+    read only the table of the block it reads, so only the generators of a
+    failing table are walked.  Failing none, the first failing table is
+    named, by its owner, else by its qubits."""
+    worst = {w: float(dev.max()) for w, (dev, _, _) in setup.tables.items()}
     residual, runs = max(worst.values(), default=0.0), [_NORMALIZATION]
     if residual <= tol:
         return ReconstructionReport(
             DETERMINED, state(), ForcingLog(runs + [run for run, _, _ in stages] + tail),
             residual)
+    walked = [s for s, w in enumerate(setup.reads) if worst[w] > tol]
     for run, deviations, columns in stages:
-        devs = deviations()
+        devs = deviations(walked)
         above = np.flatnonzero(devs > tol)
         if above.size:
             k, col = divmod(int(above[0]), devs.shape[1])
@@ -311,7 +379,7 @@ def _report(setup: _ChainSetup, tol: float, stages: list, tail: list,
                      f"{step.generator}")
         runs.append(run)
     w = next(w for w, dev in worst.items() if dev > tol)
-    s = setup.tables[w][3]
+    s = setup.tables[w][2]
     step = ForcingStep((s,) if s is not None else tuple(sorted(w)), RULE_UNUSED_ENTRY, s)
     where = f"the support of generator {s}" if s is not None else f"qubits {sorted(w)}"
     return ReconstructionReport(
@@ -338,18 +406,19 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    forced, tops, rs = setup.forced, setup.tops, setup.r_indices
+    side = setup.side
+    forced, tops, rs = side.forced, side.tops, side.r_indices
 
     def translation(k):  # the k-th step after normalization
         idx, s = int(forced[k + 1]), int(tops[k + 1])
         return ForcingStep((idx, idx ^ rs[s]), RULE_TRANSLATION, s)
 
     stage = (_Run(RULE_TRANSLATION, len(forced) - 1, translation),
-             lambda: _forced_deviations(setup)[:, [0, 1, 3]],
+             lambda walked: _forced_deviations(setup, walked)[:, [0, 1, 3]],
              ((RULE_DIAGONAL, "diagonal entry"), (RULE_DIAGONAL, "diagonal entry"),
               (RULE_TRANSLATION, "translation entry")))
     return _report(setup, tol, [stage], [],
-                   lambda: setup.signs.astype(complex) / math.sqrt(1 << setup.n))
+                   lambda: side.signs.astype(complex) / math.sqrt(1 << side.n))
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +432,21 @@ def _lower_ends(r: int, k):
     return ((k >> h) << (h + 1)) | (k & ((1 << h) - 1))
 
 
-def _completion_run(setup: _ChainSetup) -> _Run:
+def _completion_run(n: int, rs: list) -> _Run:
     """Stage 4: the pairs 0 < i < j that are not one translation apart, row
-    by row; row i skips the j = i + r_s above i."""
-    dim, rs = 1 << setup.n, setup.r_indices
-    rows = np.arange(1, dim)
-    skips = sum(1 - ((rows >> (r.bit_length() - 1)) & 1) for r in rs)
-    ends = np.cumsum(dim - 1 - rows - skips).tolist()
+    by row; row i skips the j = i + r_s above i.  Of the (2^n-1)(2^n-2)/2
+    pairs, each distinct r_s links 2^(n-1) - 1, so the length needs no rows;
+    their ends are built when a step is first asked for."""
+    dim = 1 << n
+
+    @cache
+    def row_ends():
+        rows = np.arange(1, dim)
+        skips = sum(1 - ((rows >> (r.bit_length() - 1)) & 1) for r in rs)
+        return np.cumsum(dim - 1 - rows - skips).tolist()
 
     def at(k):
+        ends = row_ends()
         row = bisect_right(ends, k)
         i = row + 1
         j = i + 1 + k - (ends[row - 1] if row else 0)
@@ -380,7 +455,7 @@ def _completion_run(setup: _ChainSetup) -> _Run:
                 j += 1
         return ForcingStep((i, j), RULE_MINOR_COMPLETION)
 
-    return _Run(RULE_MINOR_COMPLETION, ends[-1] if ends else 0, at)
+    return _Run(RULE_MINOR_COMPLETION, (dim - 1) * (dim - 2) // 2 - n * (dim // 2 - 1), at)
 
 
 def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
@@ -399,7 +474,8 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    n, dim, rs, forced, tops = setup.n, 1 << setup.n, setup.r_indices, setup.forced, setup.tops
+    side = setup.side
+    n, dim, rs, forced, tops = side.n, 1 << side.n, side.r_indices, side.forced, side.tops
 
     # Stage 1: the diagonal.
     def diagonal(k):  # the k-th step after normalization
@@ -414,13 +490,14 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
         i = _lower_ends(rs[s], k)
         return ForcingStep((i, i ^ rs[s]), RULE_TRANSLATION, s)
 
-    def translation_deviations():
-        lower = np.arange(half)
-        return np.concatenate([_deviations(setup, s, _lower_ends(r, lower))[:, 2:]
-                               for s, r in enumerate(rs)])
+    def translation_deviations(walked):
+        devs, lower = np.zeros((n, half, 2)), np.arange(half)
+        for s in walked:
+            devs[s] = _deviations(setup, s, _lower_ends(rs[s], lower))[:, 2:]
+        return devs.reshape(-1, 2)
 
     stages = [(_Run(RULE_DIAGONAL, dim - 1, diagonal),
-               lambda: _forced_deviations(setup)[:, :2],
+               lambda walked: _forced_deviations(setup, walked)[:, :2],
                ((RULE_DIAGONAL, "diagonal sum"), (RULE_DIAGONAL, "diagonal sum"))),
               (_Run(RULE_TRANSLATION, n * half, translation), translation_deviations,
                ((RULE_MAGNITUDE, "off-diagonal magnitude"),
@@ -435,9 +512,9 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
         return ForcingStep((0, int(forced[k + n + 1])), RULE_MINOR_CHAIN, int(tops[k + n + 1]))
 
     # Stage 4: everything else, one minor through the zero row each.
-    tail = [_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain), _completion_run(setup)]
+    tail = [_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain), _completion_run(n, rs)]
     return _report(setup, tol, stages, tail,
-                   lambda: np.outer(setup.signs.astype(complex) / dim, setup.signs))
+                   lambda: np.outer(side.signs.astype(complex) / dim, side.signs))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +558,7 @@ def uniqueness_by_enumeration(target: np.ndarray, omegas: Iterable,
     """True iff no other pure stabilizer state shares all marginals on the
     given subsets; exhaustive over the full n-qubit stabilizer-state list."""
     from .stabilizer import enumerate_stabilizer_states
-    omegas = [sorted(set(int(j) for j in w)) for w in omegas]
+    omegas = [sorted(index_set(w, n)) for w in omegas]
     target = np.asarray(target, dtype=complex)
     target_marginals = [dense_partial_trace(target, w) for w in omegas]
     for state in enumerate_stabilizer_states(n):

@@ -143,9 +143,17 @@ def support(op: PauliOperator) -> frozenset:
     return frozenset(set_positions(op.u | op.v, op.n))
 
 
+def _qubit_index(j) -> int:
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise ValueError(f"qubit index {j!r} is not an integer") from None
+
+
 def index_set(omega: Iterable[int], n: int) -> frozenset:
-    """omega as a frozenset of qubit indices, required non-empty and in range."""
-    omega = frozenset(int(j) for j in omega)
+    """omega as a frozenset of qubit indices, required integers (numpy ones
+    too), non-empty and in range."""
+    omega = frozenset(map(_qubit_index, omega))
     if not omega:
         raise ValueError("empty index set")
     if min(omega) < 0 or max(omega) >= n:

@@ -27,9 +27,11 @@ from stabdet.determination import (
     RULE_TRANSLATION,
     RULE_UNUSED_ENTRY,
     _check_graph_group,
+    _completion_run,
     _deviations,
     _prepare_chain,
     _report,
+    ForcingStep,
     RdmConstraintSet,
     dense_partial_trace,
     forcing_chain_mixed,
@@ -109,6 +111,19 @@ def test_partial_trace_rejects_bad_sets():
         dense_partial_trace(np.eye(4) / 4, [])
     with pytest.raises(ValueError):
         dense_partial_trace(np.eye(4) / 4, [2])
+
+
+@pytest.mark.parametrize("bad", [0.9, "1", None, 1.0])
+def test_index_sets_reject_non_integers(bad):
+    gens = GeneratorSet.from_strings(2, ["XZ", "ZX"])
+    for call in (lambda: stabilizer_rdm(gens, [bad, True]),
+                 lambda: RdmConstraintSet(2, {(bad,): np.eye(2) / 2}),
+                 lambda: dense_partial_trace(np.eye(4) / 4, [0, bad])):
+        with pytest.raises(ValueError, match=f"qubit index {bad!r} is not an integer"):
+            call()
+    # numpy integers (and bools, which are integers) still index
+    assert np.array_equal(stabilizer_rdm(gens, [np.int64(0), True]), stabilizer_rdm(gens, [0, 1]))
+    assert set(RdmConstraintSet(2, {(np.uint8(1),): np.eye(2) / 2}).constraints) == {frozenset({1})}
 
 
 # --- pure chain ---
@@ -233,6 +248,26 @@ def test_mixed_chain_log_stays_lazy():
     assert len(report.forcing_log) == 1024 * 1025 // 2
     # the state alone takes 16 MiB; a list of the 524,800 steps took 112 MiB
     assert peak < 32 * 2 ** 20
+
+
+def test_completion_run_length_is_the_closed_form():
+    # Stage 4 is every pair 0 < i < j not one translation apart, row by row;
+    # its length is counted without rows, which the log builds when asked.
+    rng = np.random.default_rng(37)
+    for n in range(7):
+        g = random_graph(n, rng)
+        canon = canonical_generators(g)
+        for gens in (canon, recombine_generators(canon, random_invertible_f2(n, rng))):
+            rs = {m.v for m in gens.generators}
+            pairs = [(i, j) for i in range(1, 1 << n) for j in range(i + 1, 1 << n)
+                     if i ^ j not in rs]
+            assert _completion_run(n, [m.v for m in gens.generators]).length == len(pairs)
+            report = forcing_chain_mixed(g, gens, exact_rdms(g, gens))
+            assert report.status == DETERMINED
+            steps = list(report.forcing_log)  # stage 4 ends the log
+            assert steps[len(steps) - len(pairs):] == [
+                ForcingStep(pair, RULE_MINOR_COMPLETION) for pair in pairs]
+            assert report.forcing_log.counts().get(RULE_MINOR_COMPLETION, 0) == len(pairs)
 
 
 def test_mixed_chain_succeeds_on_minimal_support_family():
@@ -405,6 +440,28 @@ def test_magnitude_column_never_exceeds_the_table_entry(n, seed, exponent):
         assert np.all(devs[:, 2] <= devs[:, 3])
 
 
+def test_walk_gathers_only_generators_of_failing_tables(monkeypatch):
+    # So by the bound above, a generator whose table is within tol has no
+    # failing step: the walk gathers deviations for the others alone.  In P4
+    # only generator 0 reads the block on {0, 1}.
+    import stabdet.determination as determination
+    walked = []
+
+    def counted(setup, s, idx, f=determination._deviations):
+        walked.append(s)
+        return f(setup, s, idx)
+    monkeypatch.setattr(determination, "_deviations", counted)
+    rdms = exact_rdms(P4)
+    key = frozenset({0, 1})
+    rdms.constraints[key] = rdms.constraints[key].copy()
+    rdms.constraints[key][[0, 1], [1, 0]] += 0.01
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        walked.clear()
+        report = chain(P4, P4_GENS, rdms)
+        assert report.status == INCONSISTENT and report.forcing_log[-1].generator == 0
+        assert set(walked) == {0}
+
+
 def test_unread_block_is_checked():
     # No generator reads {0, 3}, where P4's marginal is I/4; a valid state
     # there that is not I/4 still contradicts the graph state.
@@ -526,6 +583,77 @@ def test_chains_compute_no_closed_form_marginal(family, monkeypatch):
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         assert chain(P4, P4_GENS, rdms).status == DETERMINED
     assert calls == []
+
+
+
+# --- graph side shared by both chains ---
+
+def test_both_chains_share_one_graph_side(monkeypatch):
+    # The group check and the sign vector depend on (gens, graph) alone: one
+    # family's pure and mixed chains compute each once.
+    import stabdet.determination as determination
+    forcing_chain_pure(P4, P4_GENS, exact_rdms(P4))  # another family first
+    g = Graph.star(4)
+    gens, rdms = canonical_generators(g), exact_rdms(g)
+    calls = Counter()
+    for name in ("_check_graph_group", "sign_vector"):
+        def counted(*args, f=getattr(determination, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(determination, name, counted)
+    assert forcing_chain_pure(g, gens, rdms).status == DETERMINED
+    assert forcing_chain_mixed(g, gens, rdms).status == DETERMINED
+    assert calls == Counter({"_check_graph_group": 1, "sign_vector": 1})
+
+
+def test_graph_side_reads_no_constraint():
+    # Edits to the constraints between calls are seen: nothing read from
+    # them outlives a call.
+    rdms = exact_rdms(P4)
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        assert chain(P4, P4_GENS, rdms).status == DETERMINED
+    key = frozenset({0, 1})
+    rdms.constraints[key] = rdms.constraints[key].copy()
+    rdms.constraints[key][0, 1] += 0.01
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        assert chain(P4, P4_GENS, rdms).status == INCONSISTENT
+    rdms.constraints[key] = exact_rdms(P4).constraints[key]
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        assert chain(P4, P4_GENS, rdms).status == DETERMINED
+
+
+def test_graph_side_is_keyed_by_the_graph_too():
+    # The same generators on another graph are checked again, and a failed
+    # check is not remembered.
+    star = Graph.star(4)
+    assert forcing_chain_pure(P4, P4_GENS, exact_rdms(P4)).status == DETERMINED
+    for chain in (forcing_chain_pure, forcing_chain_mixed, forcing_chain_pure):
+        with pytest.raises(ValueError, match="not an element of the graph's group"):
+            chain(star, P4_GENS, exact_rdms(star))
+    assert forcing_chain_mixed(P4, P4_GENS, exact_rdms(P4)).status == DETERMINED
+
+
+def test_graph_side_holds_one_read_only_family():
+    import stabdet.determination as determination
+    rdms = exact_rdms(P4)
+    key = frozenset({1, 2, 3})
+    rdms.constraints[key] = rdms.constraints[key].copy()
+    rdms.constraints[key][0, 0] += 0.01  # the walk reads this block alone
+    assert forcing_chain_mixed(P4, P4_GENS, rdms).status == INCONSISTENT
+    (side,) = determination._GRAPH_SIDE.values()
+    assert set(side.marginals) == set(P4_SUPPORTS) and set(side.subs) == {key}
+    arrays = [side.forced, side.tops, side.signs, *side.marginals.values(),
+              *side.subs.values()]
+    assert not any(a.flags.writeable for a in arrays)
+    # 2^n sub-indices of at most 3 bits each take a byte apiece
+    assert all(sub.dtype == np.uint8 for sub in side.subs.values())
+
+    star = Graph.star(4)
+    star_gens = canonical_generators(star)
+    assert forcing_chain_pure(star, star_gens, exact_rdms(star)).status == DETERMINED
+    assert list(determination._GRAPH_SIDE) == [(star_gens, star.theta.tobytes())]
+    # an exact family walks no stage, so it builds no sub-index
+    assert not determination._GRAPH_SIDE[star_gens, star.theta.tobytes()].subs
 
 
 # --- kernel analysis ---
