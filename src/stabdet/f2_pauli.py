@@ -75,6 +75,16 @@ class PauliOperator:
         return format_pauli(self)
 
 
+def _pauli(phase_exp: int, u: int, v: int, n: int) -> PauliOperator:
+    """PauliOperator without ``__post_init__``'s checks, for fields in range by construction."""
+    op = object.__new__(PauliOperator)  # set as the frozen __init__ does: keeps reads fast
+    object.__setattr__(op, "phase_exp", phase_exp)
+    object.__setattr__(op, "u", u)
+    object.__setattr__(op, "v", v)
+    object.__setattr__(op, "n", n)
+    return op
+
+
 def identity(n: int) -> PauliOperator:
     return PauliOperator(0, 0, 0, n)
 
@@ -128,7 +138,7 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     u, v = a.u ^ b.u, a.v ^ b.v
     k = (a.phase_exp + b.phase_exp + (a.u & a.v).bit_count() + (b.u & b.v).bit_count()
          + 2 * (a.u & b.v).bit_count() - (u & v).bit_count())
-    return PauliOperator(k % 4, u, v, a.n)
+    return _pauli(k % 4, u, v, a.n)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
@@ -162,25 +172,25 @@ def index_set(omega: Iterable[int], n: int) -> frozenset:
 
 
 def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
-    """Tensor product of the factors at positions in omega, ascending, phase kept."""
-    idx = sorted(set(int(j) for j in omega))
+    """Tensor product of the factors at integer positions in omega, ascending, phase kept."""
+    idx = sorted(set(map(_qubit_index, omega)))
     if idx and (idx[0] < 0 or idx[-1] >= op.n):
         raise ValueError(f"index out of range for {op.n} qubits: {idx}")
-    return PauliOperator(op.phase_exp, gather_bits(op.u, idx, op.n),
-                         gather_bits(op.v, idx, op.n), len(idx))
+    return _pauli(op.phase_exp, gather_bits(op.u, idx, op.n),
+                  gather_bits(op.v, idx, op.n), len(idx))
 
 
 def nonzero_entries(ops: Sequence[PauliOperator]) -> tuple:
     """(columns, values) of the one nonzero entry in each row of the dense
     matrices of one or more operators on a common qubit count, one array row
     per operator: row r of an operator holds i^{k - |u&v|} (-1)^{|u&r|} at
-    column r ^ v."""
+    column r ^ v.  The parity of u & r folds over the n bits of r only."""
     rows = np.arange(1 << ops[0].n, dtype=np.int64)
     u = np.array([[op.u] for op in ops], dtype=np.int64)
     v = np.array([[op.v] for op in ops], dtype=np.int64)
     parity = rows & u
-    for shift in (32, 16, 8, 4, 2, 1):
-        parity ^= parity >> shift
+    for k in reversed(range((ops[0].n - 1).bit_length())):
+        parity ^= parity >> (1 << k)
     phase = np.array([[PHASES[(op.phase_exp - (op.u & op.v).bit_count()) % 4]]
                       for op in ops])
     return rows ^ v, phase * (1 - 2 * (parity & 1))
@@ -280,13 +290,9 @@ def unpack_rows(rows: Sequence[int], cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols)
 
 
-def _as_f2(m) -> np.ndarray:
+def f2_rank(m) -> int:
+    """Rank over GF(2) via Gaussian elimination."""
     a = np.array(m, dtype=np.uint8) % 2
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    return a
-
-
-def f2_rank(m) -> int:
-    """Rank over GF(2) via Gaussian elimination."""
-    return len(eliminate(pack_rows(_as_f2(m)))[0])
+    return len(eliminate(pack_rows(a))[0])

@@ -12,12 +12,13 @@ import numpy as np
 from .f2_pauli import (
     DENSE_VECTOR_CAP,
     PauliOperator,
+    _pauli,
     eliminate,
     multiply,
     pack_rows,
     unpack_rows,
 )
-from .stabilizer import GeneratorSet, _require_valid
+from .stabilizer import GeneratorSet
 
 
 class Graph:
@@ -126,7 +127,7 @@ def _conjugate(op: PauliOperator, gate: str, mask: int) -> PauliOperator:
     if gate not in _GATE_ACTION:
         raise ValueError(f"unknown gate {gate!r}")
     u, v, sign = _GATE_ACTION[gate](op.u, op.v, mask)
-    return PauliOperator((op.phase_exp + 2 * sign.bit_count()) % 4, u, v, op.n)
+    return _pauli((op.phase_exp + 2 * sign.bit_count()) % 4, u, v, op.n)
 
 
 @dataclass(frozen=True)
@@ -173,30 +174,29 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
     """Reduce a full stabilizer generator set to graph form.
 
     Returns (graph, layer) such that conjugating the input group by the layer
-    gives exactly the graph state's stabilizer group.  One elimination of the
-    x-parts, by multiplying the generators, leaves the products with no
-    x-part.  Their z-parts commute with every generator, so they are
-    orthogonal to every x-part, and there are n - rank of them: they span the
-    kernel of the x-block.  Basis-exchange gates on their pivot qubits P make
-    the x-block invertible: the z-parts restricted to P form a triangular,
-    invertible minor, so an element left with no x-part would have an x-part
-    inside P orthogonal to the kernel, hence zero, and a kernel z-part zero on
-    P, hence zero.  The reduced pivots of a second elimination are then the
-    recombination by the inverse of the x-block (x-part X_j for generator j);
-    quarter-phase gates clear the diagonal of the z-block, and Pauli Z
-    corrections absorb the -1 generator signs.
+    gives exactly the graph state's stabilizer group.  The z-rows of
+    ``gens.form`` are the products with no x-part.  Their z-parts commute
+    with every generator, so they are orthogonal to every x-part, and there
+    are n - rank of them: they span the kernel of the x-block.
+    Basis-exchange gates on their pivot qubits P make the x-block invertible:
+    the z-parts restricted to P form a triangular, invertible minor, so an
+    element left with no x-part would have an x-part inside P orthogonal to
+    the kernel, hence zero, and a kernel z-part zero on P, hence zero.  The
+    reduced pivots of an x-part elimination from any generators of the group
+    are then its recombination by the inverse of the x-block (x-part X_j for
+    generator j); quarter-phase gates clear the diagonal of the z-block, and
+    Pauli Z corrections absorb the -1 generator signs.
     """
-    _require_valid(gens)
+    form = gens.form
     if gens.l != gens.n:
         raise ValueError(f"need a full generating set: l={gens.l}, n={gens.n}")
-    n, ops, masks = gens.n, list(gens.generators), {}
+    n, ops, masks = gens.n, [g for _, g in form], {}
 
     def apply(gate, mask):
         masks[gate] = mask
         return [_conjugate(op, gate, mask) for op in ops]
 
-    _, pure_z = eliminate(ops, key=lambda op: op.v, combine=multiply)
-    ops = apply("H", sum(1 << h for h in eliminate(op.u for op in pure_z)[0]))
+    ops = apply("H", sum(pivot for pivot, g in form if not g.v))
     pivots, _ = eliminate(ops, key=lambda op: op.v, combine=multiply, reduced=True)
     ops = [pivots[n - 1 - j] for j in range(n)]
     ops = apply("S", sum(op.u & op.v for op in ops))

@@ -11,8 +11,8 @@ the factors commute.  ``validate`` asserts exactly those three conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,18 +64,23 @@ class GeneratorSet:
         """``validate(self)``, computed once: the instance is frozen."""
         return validate(self)
 
+    @cached_property
+    def form(self) -> tuple:
+        """``_pivoted_form(self)``, built once."""
+        return _pivoted_form(self)
+
     @classmethod
     def from_strings(cls, n: int, strings: Iterable[str]) -> "GeneratorSet":
         gens = tuple(parse_pauli(s) for s in strings)
         return cls(gens, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     commuting: bool
     independent: bool
     hermitian: bool
-    problems: list = field(default_factory=list)
+    problems: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -97,7 +102,10 @@ def _independent(ops: Sequence[PauliOperator]) -> bool:
 
 
 def validate(gens: GeneratorSet) -> ValidationReport:
-    """Check commutativity, GF(2) independence and Hermiticity of a generator set."""
+    """Check commutativity, GF(2) independence and Hermiticity of a generator
+    set, once per set: the report is cached as ``gens.validation``."""
+    if "validation" in vars(gens):
+        return gens.validation
     problems = []
     hermitian = True
     for s, g in enumerate(gens.generators):
@@ -113,13 +121,27 @@ def validate(gens: GeneratorSet) -> ValidationReport:
     independent = _independent(gens.generators)
     if not independent:
         problems.append("binary parts are linearly dependent over GF(2)")
-    return ValidationReport(commuting, independent, hermitian, problems)
+    return vars(gens).setdefault("validation", ValidationReport(
+        commuting, independent, hermitian, tuple(problems)))
 
 
 def _require_valid(gens: GeneratorSet):
     report = gens.validation
     if not report.ok:
         raise ValueError("invalid generator set: " + "; ".join(report.problems))
+
+
+def _pivoted_form(gens: GeneratorSet) -> tuple:
+    """(pivot, row) pairs generating the group, each row owning its pivot: a
+    one-qubit mask set in its x-part (its z-part if it has no x-part) and
+    clear in that part of every other row.  The rows are the reduced echelon
+    form, by multiplying generators, with the x-part on top: the x-parts
+    reduced, then the z-parts of the x-free rows, clearing the x-rows there."""
+    _require_valid(gens)
+    n = gens.n
+    rows, _ = eliminate(gens.generators, key=lambda g: (g.v << n) | g.u, combine=multiply,
+                        reduced=True)
+    return tuple((1 << (h % n), g) for h, g in rows.items())
 
 
 def enumerate_group(gens: GeneratorSet) -> list:
@@ -161,8 +183,8 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     restrictions of all group elements supported inside omega.
 
     Those elements form the subgroup S_omega, whose k <= |omega| generators
-    come from GF(2) elimination on the generators, so the cost is
-    poly(n) + 2^k 4^{|omega|} whatever the group order.
+    come from GF(2) elimination on the at most 2|omega| rows of ``gens.form``
+    pivoting in omega: poly(|omega|) + 2^k 4^{|omega|} once the form is built.
     """
     omega = index_set(omega, gens.n)
     if len(omega) > cap:
@@ -177,9 +199,9 @@ _SUM_BLOCK = 1 << 16
 def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     """2^{-|omega|} times the sum over S_omega of the restrictions to omega.
 
-    A product of generators lies in S_omega iff its binary part vanishes
-    outside omega, so eliminating the outside bits by multiplying the
-    generators themselves leaves a basis of S_omega.  Eliminating the x-parts
+    An element of S_omega is a product of the rows of ``gens.form`` that
+    pivot in omega, at most 2|omega|, so eliminating their bits outside omega
+    by multiplying them leaves a basis of S_omega.  Eliminating the x-parts
     of that basis in turn splits it into shifts, with independent x-parts,
     and diagonal elements z, so the sum is sum_a a prod_z (I + z) over the
     products a of the shifts.  Distinct a have distinct x-parts, so each fills
@@ -187,12 +209,12 @@ def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     diagonal of prod_z (I + z) / 2^{|omega|}; every value is a power of two
     times 1, i, -1 or -i, so the sum is exact.
     """
-    _require_valid(gens)
     n = gens.n
-    outside = ((1 << n) - 1) & ~sum(1 << (n - 1 - j) for j in omega)
-    _, inside = eliminate(gens.generators, combine=multiply,
-                          key=lambda g: ((g.u & outside) << n) | (g.v & outside))
-    basis = [restrict(g, omega) for g in inside]
+    inside = sum(1 << (n - 1 - j) for j in omega)
+    outside = ((1 << n) - 1) ^ inside
+    _, members = eliminate([g for pivot, g in gens.form if pivot & inside], combine=multiply,
+                           key=lambda g: ((g.u & outside) << n) | (g.v & outside))
+    basis = [restrict(g, omega) for g in members]
     shifts, diagonal = eliminate(basis, combine=multiply, key=lambda g: g.v)
     elements = _gray_walk(tuple(shifts.values()), len(omega))
     dim = 1 << len(omega)
@@ -229,10 +251,7 @@ def recombine_generators(gens: GeneratorSet, r_matrix) -> GeneratorSet:
 
 def product(ops: Sequence[PauliOperator], mask: int, n: int) -> PauliOperator:
     """Product of the n-qubit ops whose index i is set in mask (bit len(ops)-1-i)."""
-    prod = identity(n)
-    for i in set_positions(mask, len(ops)):
-        prod = multiply(prod, ops[i])
-    return prod
+    return reduce(multiply, (ops[i] for i in set_positions(mask, len(ops))), identity(n))
 
 
 def minimal_support_set(gens: GeneratorSet) -> set:
@@ -243,12 +262,7 @@ def minimal_support_set(gens: GeneratorSet) -> set:
     (the set return type deduplicates them anyway).
     """
     supports = [support(g) for g in gens.generators]
-    retained = set()
-    for s, sup in enumerate(supports):
-        if any(sup < other for other in supports):
-            continue
-        retained.add(sup)
-    return retained
+    return {sup for sup in supports if not any(sup < other for other in supports)}
 
 
 def _all_nontrivial_paulis(n: int) -> list:

@@ -12,6 +12,7 @@ from stabdet.f2_pauli import (
     from_binary,
     identity,
     multiply,
+    nonzero_entries,
     parse_pauli,
     restrict,
     support,
@@ -158,6 +159,14 @@ def test_restrict_out_of_range():
         restrict(parse_pauli("XY"), {2})
 
 
+def test_restrict_rejects_non_integer_indices():
+    for omega in ([0.9, 1.2], [0, 1.0], ["0"]):
+        with pytest.raises(ValueError, match="not an integer"):
+            restrict(parse_pauli("XZ"), omega)
+    assert restrict(parse_pauli("XZ"), [np.int64(1)]) == parse_pauli("Z")
+    assert restrict(parse_pauli("-XZ"), []) == from_binary((), (), -1)
+
+
 # --- dense rendering ---
 
 def test_dense_x():
@@ -207,6 +216,17 @@ def test_restriction_slices_dense_matrix():
                     bits[j] = (ext >> (len(other) - 1 - k)) & 1
                 i_full = sum(b << (3 - j) for j, b in enumerate(bits))
                 assert sub[iw, iw ^ vw] == full[i_full, i_full ^ v_full]
+
+
+def test_nonzero_entries_match_the_kronecker_product():
+    rng = np.random.default_rng(12)
+    for n in range(1, 11):
+        ops = [random_pauli(n, rng) for _ in range(3)]
+        cols, values = nonzero_entries(ops)
+        for op, c, x in zip(ops, cols, values):
+            want = np.zeros((1 << n, 1 << n), dtype=complex)
+            want[np.arange(1 << n), c] = x
+            assert np.array_equal(want, kron_dense(op))
 
 
 def test_dense_cap():

@@ -5,6 +5,7 @@ import pytest
 
 from stabdet.f2_pauli import (
     dense_matrix,
+    eliminate,
     format_pauli,
     from_binary,
     identity,
@@ -103,6 +104,87 @@ def test_generator_set_is_validated_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="anticommute"):
             stabilizer_rdm(bad, {0})
+
+
+def test_one_validation_and_one_form_per_set(monkeypatch):
+    # the marginals op: validate, lc_to_graph, then three RDMs
+    import stabdet.stabilizer as stabilizer
+    from stabdet.graph_state import lc_to_graph
+    gens = random_stabilizer_set(8, np.random.default_rng(14))
+    calls = {"commutes": 0, "form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(stabilizer, "commutes", counted("commutes", stabilizer.commutes))
+    monkeypatch.setattr(stabilizer, "_pivoted_form",
+                        counted("form", stabilizer._pivoted_form))
+    report = validate(gens)
+    lc_to_graph(gens)
+    for omega in ([0, 1], [2, 5, 7], [3]):
+        stabilizer_rdm(gens, omega)
+    # one validation checks each of the 28 pairs once
+    assert calls == {"commutes": 8 * 7 // 2, "form": 1}
+    assert gens.validation is report and validate(gens) is report
+    assert isinstance(report.problems, tuple)
+    bad = validate(GeneratorSet.from_strings(2, ["XI", "ZI", "XI"]))
+    assert bad.problems == ("generators 0 and 1 anticommute",
+                            "generators 1 and 2 anticommute",
+                            "binary parts are linearly dependent over GF(2)")
+
+
+# --- the pivoted form ---
+
+def _pivot_qubit(pivot, n):
+    return n - pivot.bit_length()
+
+
+def test_every_form_row_owns_its_pivot_and_the_group_is_kept():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        full = random_stabilizer_set(n, rng)
+        gens = GeneratorSet(full.generators[:int(rng.integers(0, n + 1))], n)
+        form = gens.form
+        rows = [g for _, g in form]
+        for i, (pivot, g) in enumerate(form):
+            others = rows[:i] + rows[i + 1:]
+            assert pivot & (pivot - 1) == 0 and 0 <= _pivot_qubit(pivot, n) < n
+            owns_x = g.v & pivot and not any(h.v & pivot for h in others)
+            owns_z = g.u & pivot and not any(h.u & pivot for h in others)
+            assert owns_x or owns_z
+        assert group_key(enumerate_group(GeneratorSet(tuple(rows), n))) == \
+            group_key(enumerate_group(gens))
+        for _ in range(3):
+            size = int(rng.integers(1, n + 1))
+            omega = sorted(rng.choice(n, size=size, replace=False).tolist())
+            pivoting = [g for pivot, g in form if _pivot_qubit(pivot, n) in omega]
+            assert len(pivoting) <= 2 * len(omega)
+            assert np.array_equal(stabilizer_rdm(gens, omega),
+                                  subgroup_sum_by_kron(gens, omega))
+
+
+def test_rdm_eliminates_at_most_two_rows_per_qubit_of_omega(monkeypatch):
+    import stabdet.stabilizer as stabilizer
+    rng = np.random.default_rng(40)
+    gens = random_stabilizer_set(40, rng)
+    stabilizer_rdm(gens, [0])  # builds the form
+    sizes = []
+
+    def recording(rows, **kwargs):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return eliminate(rows, **kwargs)
+
+    monkeypatch.setattr(stabilizer, "eliminate", recording)
+    for size in (1, 2, 3, 4):
+        omega = rng.choice(40, size=size, replace=False).tolist()
+        sizes.clear()
+        stabilizer_rdm(gens, omega)
+        assert sizes and max(sizes) <= 2 * size
 
 
 # --- group enumeration ---
