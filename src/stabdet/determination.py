@@ -12,11 +12,10 @@ marginal, and the chain is Determined iff every entry is within tolerance.
 Every step's check reads a table entry or is bounded by one, so the stages are
 walked only when a table fails, and only for the generators reading a failing
 table, to name the first step beyond tolerance and its rule; when no step
-fails, the failing block itself is named.  What the
-chains need from the graph and generators alone (the group check, signs,
-forcing order and the state's marginal on each block) is built once per
-(graph, generators) and shared by both chains; only the tables, which read
-the supplied blocks, are taken per call.
+fails, the failing block itself is named.  The family is immutable, so
+what the chains read (the group check, signs, forcing order and tables) is
+built once per family and (graph, generators) and kept by the family: both
+chains and every tolerance share it, and only the verdict is taken per call.
 
 Each report carries the steps as a ``ForcingLog``: a lazy read-only sequence
 with ``len``, iteration, indexing and per-rule ``counts()``, which builds a
@@ -33,7 +32,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,29 +136,47 @@ class ReconstructionReport:
     message: str = ""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RdmConstraintSet:
-    """Mapping from qubit-index subsets to density matrices of matching size."""
+    """Mapping from qubit-index subsets to density matrices of matching size.
+
+    Immutable: each block is copied into a read-only complex array and the
+    blocks are kept in a read-only mapping, so the family can keep the
+    chains' setup, which reads the blocks, once it is built."""
 
     n: int
-    constraints: dict
+    constraints: Mapping
 
     def __post_init__(self):
-        normalized = {}
+        blocks = {}
         for omega, rho in self.constraints.items():
             key = index_set(omega, self.n)
-            rho = np.asarray(rho, dtype=complex)
+            if key in blocks:
+                raise ValueError(f"constraint on {sorted(key)} is given twice")
+            rho = np.array(rho, dtype=complex)
             dim = 1 << len(key)
             if rho.shape != (dim, dim):
                 raise ValueError(f"constraint on {sorted(key)} must be {dim}x{dim}")
             if not np.all(np.isfinite(rho)):
                 raise ValueError(f"constraint on {sorted(key)} has a non-finite entry")
-            normalized[key] = rho
-        self.constraints = normalized
+            blocks[key] = _read_only(rho)
+        object.__setattr__(self, "constraints", MappingProxyType(blocks))
 
     @classmethod
     def from_state(cls, rho: np.ndarray, omegas: Iterable, n: int) -> "RdmConstraintSet":
         return cls(n, {frozenset(w): dense_partial_trace(rho, w) for w in omegas})
+
+    def _setup(self, g: Graph, gens: GeneratorSet) -> "_FamilySetup":
+        """Both chains' setup on (g, gens), built on first use.  The family
+        keeps the last pair's, keyed by adjacency bytes as Graph is not
+        hashable; the old one goes before a new one is built, and a failed
+        check stores none."""
+        setups = vars(self).setdefault("_setups", {})
+        key = (gens, g.theta.tobytes())
+        if key not in setups:
+            setups.clear()
+            setups[key] = _FamilySetup(g, gens, self)
+        return setups[key]
 
 
 def dense_partial_trace(rho: np.ndarray, keep: Iterable[int]) -> np.ndarray:
@@ -207,20 +225,47 @@ def _omega_rows(values: np.ndarray, w, n: int) -> np.ndarray:
     return values.reshape((2,) * n).transpose(axes).reshape(1 << len(w), -1)
 
 
-class _GraphSide:
-    """What both chains need from (gens, graph) alone, built once per family:
-    nothing is read from the constraints, which a caller may edit between
-    calls.  Every array is read-only."""
+def _by_size(w) -> tuple:
+    return len(w), sorted(w)
 
-    def __init__(self, g: Graph, gens: GeneratorSet):
+
+def _table(signs: np.ndarray, c: np.ndarray, w: frozenset, n: int) -> np.ndarray:
+    """|C - M| for the block C on omega, M the state's marginal m m^T / 2^n
+    with m the signs as _omega_rows: sums of +-1 over a power of two, so
+    exact.  M is real, so |C - M| is hypot(Re C - M, Im C); hypot(d, 0) is
+    |d| exactly, so a real block takes the cheaper abs."""
+    m = _omega_rows(signs, w, n)
+    d = c.real - m @ m.T / (1 << n)
+    return _read_only(np.hypot(d, c.imag) if c.imag.any() else np.abs(d))
+
+
+class _FamilySetup:
+    """What both chains read for one family on (graph, generators), built
+    once and kept by the family.  Every array is read-only, and no state
+    marginal is kept.
+
+    Each generator reads the smallest block covering its support; if none
+    covers one, ``missing`` names the first such generator and nothing more
+    is built.  Otherwise each block C on omega is tabulated once as |C - M|,
+    with its largest entry and its owner, the first generator with support
+    omega."""
+
+    def __init__(self, g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet):
         _check_graph_group(g, gens)
+        if rdms.n != g.n:
+            raise ValueError("constraint set qubit count does not match the graph")
+        self.n, self.supports = g.n, [support(m) for m in gens.generators]
+        self.reads = [min((w for w in rdms.constraints if w >= omega), key=_by_size,
+                          default=None) for omega in self.supports]
+        self.missing = self.reads.index(None) if None in self.reads else None
+        if self.missing is not None:
+            return
         # (-1)^{f} per basis index, first, so that sign_vector's 2^n x n
-        # temporaries peak while nothing else of the family is alive.
+        # temporaries peak while nothing else of the setup is alive.
         self.signs = _read_only(sign_vector(g))
         # Each generator is the group element named by its x-part, so the n
         # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
         # are forced by r-weight, then index, each by the top generator in its code.
-        self.n, self.supports = g.n, [support(m) for m in gens.generators]
         self.r_indices = [m.v for m in gens.generators]
         span, weight, top = np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, -1)
         for s, r in enumerate(self.r_indices):
@@ -231,52 +276,23 @@ class _GraphSide:
         # forced: the basis indices in forcing order; tops: the generator
         # forcing each, -1 at index 0.
         self.forced, self.tops = _read_only(span[order]), _read_only(top[order])
-        self.marginals, self.subs = {}, {}  # omega -> M, omega -> sub-index
-
-    def marginal(self, w: frozenset) -> np.ndarray:
-        """The state's marginal on omega, m m^T / 2^n with m the signs as
-        _omega_rows: sums of +-1 over a power of two, so exact."""
-        if w not in self.marginals:
-            m = _omega_rows(self.signs, w, self.n)
-            self.marginals[w] = _read_only(m @ m.T / (1 << self.n))
-        return self.marginals[w]
+        self.tables, self.worst, self.subs = {}, {}, {}  # keyed by omega
+        for w in list(dict.fromkeys(self.reads)) + sorted(rdms.constraints.keys()
+                                                          - set(self.reads), key=_by_size):
+            c = rdms.constraints[w]
+            dev = _table(self.signs, c, w, self.n)
+            self.tables[w] = (dev, c, self.supports.index(w) if w in self.supports else None)
+            self.worst[w] = float(dev.max())
 
     def sub(self, w: frozenset) -> np.ndarray:
         """Each basis index's omega bits, a row of omega's block, in the
-        smallest unsigned dtype that holds one."""
+        smallest unsigned dtype that holds one; built when a walk reads it."""
         if w not in self.subs:
             at = _omega_rows(np.arange(1 << self.n), w, self.n)
             sub = np.empty(1 << self.n, np.min_scalar_type(len(at) - 1))
             sub[at] = np.arange(len(at))[:, None]
             self.subs[w] = _read_only(sub)
         return self.subs[w]
-
-
-# The last family's graph side, keyed by (gens, adjacency bytes) as Graph is
-# not hashable: both chains of one family share it.  The old entry goes before
-# a new one is built, and a failed check stores none.
-_GRAPH_SIDE: dict = {}
-
-
-def _graph_side(g: Graph, gens: GeneratorSet) -> _GraphSide:
-    key = (gens, g.theta.tobytes())
-    side = _GRAPH_SIDE.get(key)
-    if side is None:
-        _GRAPH_SIDE.clear()
-        side = _GRAPH_SIDE[key] = _GraphSide(g, gens)
-    return side
-
-
-class _ChainSetup(NamedTuple):
-    """One call's tables over the graph side.  Log steps read the graph
-    side's arrays, never this, so a report does not pin the tables."""
-    side: _GraphSide
-    tables: dict            # omega -> (|C - M|, C, owner)
-    reads: list             # the omega each generator's checks read
-
-
-def _by_size(w) -> tuple:
-    return len(w), sorted(w)
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:
@@ -288,56 +304,38 @@ def _magnitude(z: np.ndarray) -> np.ndarray:
 
 def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
                    tol: float):
-    """Common validation; returns (_ChainSetup, None) or (None, failure report).
-
-    Each generator reads the smallest constraint covering its support.  Each
-    constraint C on omega is tabulated against the graph side's marginal M.
-    M is exact and real, so |C - M| is taken as hypot(Re C - M, Im C).  Its
-    owner is the first generator with support omega."""
+    """Common validation; returns (the family's _FamilySetup, None), or
+    (None, a fresh Underdetermined report) if no block covers a generator's
+    support."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol!r}")
-    side = _graph_side(g, gens)
-    if rdms.n != g.n:
-        raise ValueError("constraint set qubit count does not match the graph")
-
-    supports = side.supports
-    reads = [min((w for w in rdms.constraints if w >= omega), key=_by_size, default=None)
-             for omega in supports]
-    if None in reads:
-        s = reads.index(None)
-        return None, ReconstructionReport(
-            UNDERDETERMINED, None,
-            ForcingLog([_stored(ForcingStep((s,), RULE_MISSING_SUPPORT, s))]),
-            message=f"no constraint covers support {sorted(supports[s])} of generator {s}")
-
-    tables = {}
-    for w in list(dict.fromkeys(reads)) + sorted(rdms.constraints.keys() - set(reads),
-                                                 key=_by_size):
-        c = rdms.constraints[w]
-        d = c.real - side.marginal(w)
-        # hypot(d, 0) is |d| exactly, so a real block takes the cheaper abs.
-        tables[w] = (np.hypot(d, c.imag) if c.imag.any() else np.abs(d), c,
-                     supports.index(w) if w in supports else None)
-    return _ChainSetup(side, tables, reads), None
+    setup = rdms._setup(g, gens)
+    s = setup.missing
+    if s is None:
+        return setup, None
+    return None, ReconstructionReport(
+        UNDERDETERMINED, None,
+        ForcingLog([_stored(ForcingStep((s,), RULE_MISSING_SUPPORT, s))]),
+        message=f"no constraint covers support {sorted(setup.supports[s])} of generator {s}")
 
 
-def _deviations(setup: _ChainSetup, s: int, idx: np.ndarray) -> np.ndarray:
+def _deviations(setup: _FamilySetup, s: int, idx: np.ndarray) -> np.ndarray:
     """How far the constraint W that generator s reads is from the graph
     state at the entries linking each index in idx and idx + r_s, one row per
     index gathered from W's tables: both diagonals, and the linking entry in
     magnitude and in value, whose target is +-2^-|W| as g_s acts inside W."""
     w = setup.reads[s]
     dev, c, _ = setup.tables[w]
-    sub = setup.side.sub(w)
-    i_w, j_w = sub[idx], sub[idx ^ setup.side.r_indices[s]]
+    sub = setup.sub(w)
+    i_w, j_w = sub[idx], sub[idx ^ setup.r_indices[s]]
     return np.column_stack((dev[i_w, i_w], dev[j_w, j_w],
                             np.abs(_magnitude(c[i_w, j_w]) - 1 / len(c)), dev[i_w, j_w]))
 
 
-def _forced_deviations(setup: _ChainSetup, walked: list) -> np.ndarray:
+def _forced_deviations(setup: _FamilySetup, walked: list) -> np.ndarray:
     """_deviations for every forcing step after index 0, in forcing order,
     for the steps of the generators in walked; zero for the others."""
-    forced, tops = setup.side.forced[1:], setup.side.tops[1:]
+    forced, tops = setup.forced[1:], setup.tops[1:]
     devs = np.zeros((len(forced), 4))
     for s in walked:
         mine = tops == s
@@ -345,7 +343,7 @@ def _forced_deviations(setup: _ChainSetup, walked: list) -> np.ndarray:
     return devs
 
 
-def _report(setup: _ChainSetup, tol: float, stages: list, tail: list,
+def _report(setup: _FamilySetup, tol: float, stages: list, tail: list,
             state: Callable) -> ReconstructionReport:
     """A chain's report, decided by the deviation tables alone.
 
@@ -359,7 +357,7 @@ def _report(setup: _ChainSetup, tol: float, stages: list, tail: list,
     read only the table of the block it reads, so only the generators of a
     failing table are walked.  Failing none, the first failing table is
     named, by its owner, else by its qubits."""
-    worst = {w: float(dev.max()) for w, (dev, _, _) in setup.tables.items()}
+    worst = setup.worst
     residual, runs = max(worst.values(), default=0.0), [_NORMALIZATION]
     if residual <= tol:
         return ReconstructionReport(
@@ -406,8 +404,7 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    side = setup.side
-    forced, tops, rs = side.forced, side.tops, side.r_indices
+    forced, tops, rs = setup.forced, setup.tops, setup.r_indices
 
     def translation(k):  # the k-th step after normalization
         idx, s = int(forced[k + 1]), int(tops[k + 1])
@@ -418,7 +415,7 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
              ((RULE_DIAGONAL, "diagonal entry"), (RULE_DIAGONAL, "diagonal entry"),
               (RULE_TRANSLATION, "translation entry")))
     return _report(setup, tol, [stage], [],
-                   lambda: side.signs.astype(complex) / math.sqrt(1 << side.n))
+                   lambda: setup.signs.astype(complex) / math.sqrt(1 << setup.n))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +471,7 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    side = setup.side
-    n, dim, rs, forced, tops = side.n, 1 << side.n, side.r_indices, side.forced, side.tops
+    n, dim, rs, forced, tops = setup.n, 1 << setup.n, setup.r_indices, setup.forced, setup.tops
 
     # Stage 1: the diagonal.
     def diagonal(k):  # the k-th step after normalization
@@ -514,7 +510,7 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     # Stage 4: everything else, one minor through the zero row each.
     tail = [_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain), _completion_run(n, rs)]
     return _report(setup, tol, stages, tail,
-                   lambda: np.outer(side.signs.astype(complex) / dim, side.signs))
+                   lambda: np.outer(setup.signs.astype(complex) / dim, setup.signs))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from stabdet import (
     GeneratorSet,
     Graph,
     LocalCliffordLayer,
+    RdmConstraintSet,
     canonical_generators,
     enumerate_group,
     from_binary,
@@ -56,6 +57,19 @@ def random_graph(n, rng):
         for t in range(s + 1, n):
             theta[s, t] = theta[t, s] = rng.integers(0, 2)
     return Graph(theta)
+
+
+def edited(rdms, key, edit=None):
+    """A new family like rdms, with a writable copy of the block on key
+    passed to edit, which changes it in place; or, edit None, that block
+    dropped.  A family is immutable, so this is how tests perturb one."""
+    blocks = dict(rdms.constraints)
+    if edit is None:
+        del blocks[key]
+    else:
+        blocks[key] = blocks[key].copy()
+        edit(blocks[key])
+    return RdmConstraintSet(rdms.n, blocks)
 
 
 def random_invertible_f2(n, rng):

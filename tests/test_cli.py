@@ -26,6 +26,8 @@ from stabdet.stabilizer import (
 )
 from stabdet.f2_pauli import support
 
+from conftest import edited
+
 
 @pytest.fixture
 def p4_file(tmp_path):
@@ -161,11 +163,11 @@ def test_check_subset_rdms_nonzero_exit(p4_file, tmp_path, capsys):
 def test_check_perturbed_rdms_inconsistent(p4_file, tmp_path, capsys):
     gens = canonical_generators(Graph.path(4))
     rho = density_matrix(gens)
-    rdms = RdmConstraintSet.from_state(
-        rho, [support(m) for m in gens.generators], 4)
-    key = frozenset({0, 1})
-    rdms.constraints[key] = rdms.constraints[key].copy()
-    rdms.constraints[key][0, 0] += 0.01
+
+    def bump(m):
+        m[0, 0] += 0.01
+    rdms = edited(RdmConstraintSet.from_state(rho, [support(m) for m in gens.generators], 4),
+                  frozenset({0, 1}), bump)
     rdm_path = tmp_path / "bad.rdm"
     rdm_path.write_text(format_rdm_file(rdms))
     code = main(["check", p4_file, "--rdm", str(rdm_path)])
@@ -180,7 +182,8 @@ def test_check_unread_block_inconsistent(p4_file, tmp_path, capsys):
     gens = canonical_generators(Graph.path(4))
     rdms = RdmConstraintSet.from_state(
         density_matrix(gens), [support(m) for m in gens.generators], 4)
-    rdms.constraints[frozenset({0, 3})] = np.diag([1, 0, 0, 0]).astype(complex)
+    rdms = RdmConstraintSet(4, {**rdms.constraints,
+                                frozenset({0, 3}): np.diag([1, 0, 0, 0]).astype(complex)})
     rdm_path = tmp_path / "unread.rdm"
     rdm_path.write_text(format_rdm_file(rdms))
     for mode in ([], ["--pure"]):

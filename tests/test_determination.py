@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from stabdet.determination import (
 )
 
 from conftest import (
+    edited,
     hermitian_basis,
     ptrace_by_summation,
     random_graph,
@@ -146,10 +148,7 @@ def test_pure_chain_edgeless():
 
 
 def test_pure_chain_perturbed_diagonal_is_inconsistent():
-    rdms = exact_rdms(P4)
-    key = frozenset({0, 1})
-    rdms.constraints[key] = rdms.constraints[key].copy()
-    rdms.constraints[key][0, 0] += 0.01
+    rdms = edited(exact_rdms(P4), frozenset({0, 1}), lambda m: _bump(m, 0, 0))
     report = forcing_chain_pure(P4, P4_GENS, rdms)
     assert report.status == INCONSISTENT
     assert report.forcing_log[-1].rule == RULE_DIAGONAL
@@ -183,8 +182,7 @@ def test_pure_chain_stays_out_of_dense_memory():
 
 
 def test_pure_chain_missing_support_underdetermined():
-    rdms = exact_rdms(P4)
-    del rdms.constraints[frozenset({0, 1, 2})]
+    rdms = edited(exact_rdms(P4), frozenset({0, 1, 2}))
     report = forcing_chain_pure(P4, P4_GENS, rdms)
     assert report.status == UNDERDETERMINED
 
@@ -289,10 +287,7 @@ def test_mixed_chain_full_system_constraint():
 
 
 def test_mixed_chain_perturbed_is_inconsistent():
-    rdms = exact_rdms(P4)
-    key = frozenset({1, 2, 3})
-    rdms.constraints[key] = rdms.constraints[key].copy()
-    rdms.constraints[key][0, 0] += 0.01
+    rdms = edited(exact_rdms(P4), frozenset({1, 2, 3}), lambda m: _bump(m, 0, 0))
     report = forcing_chain_mixed(P4, P4_GENS, rdms)
     assert report.status == INCONSISTENT
     assert report.state is None
@@ -370,10 +365,7 @@ _FAILURES = [
 
 @pytest.mark.parametrize("edit, pure, mixed", _FAILURES)
 def test_every_failure_path_of_both_chains(edit, pure, mixed):
-    rdms = exact_rdms(P4)
-    key = frozenset({0, 1})
-    rdms.constraints[key] = rdms.constraints[key].copy()
-    edit(rdms.constraints[key])
+    rdms = edited(exact_rdms(P4), frozenset({0, 1}), edit)
     for chain, (rule, indices, steps, wording, residual) in (
             (forcing_chain_pure, pure), (forcing_chain_mixed, mixed)):
         report = chain(P4, P4_GENS, rdms)
@@ -404,9 +396,7 @@ def test_stages_are_walked_only_to_name_a_failure(edit, pure, mixed, monkeypatch
         monkeypatch.setattr(determination, name, counted)
     rdms = exact_rdms(P4)
     if edit is not None:
-        key = frozenset({0, 1})
-        rdms.constraints[key] = rdms.constraints[key].copy()
-        edit(rdms.constraints[key])
+        rdms = edited(rdms, frozenset({0, 1}), edit)
     for chain, expected in ((forcing_chain_pure, pure), (forcing_chain_mixed, mixed)):
         calls.clear()
         report = chain(P4, P4_GENS, rdms)
@@ -451,10 +441,7 @@ def test_walk_gathers_only_generators_of_failing_tables(monkeypatch):
         walked.append(s)
         return f(setup, s, idx)
     monkeypatch.setattr(determination, "_deviations", counted)
-    rdms = exact_rdms(P4)
-    key = frozenset({0, 1})
-    rdms.constraints[key] = rdms.constraints[key].copy()
-    rdms.constraints[key][[0, 1], [1, 0]] += 0.01
+    rdms = edited(exact_rdms(P4), frozenset({0, 1}), lambda m: _bump(m, 0, 1))
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         walked.clear()
         report = chain(P4, P4_GENS, rdms)
@@ -465,8 +452,8 @@ def test_walk_gathers_only_generators_of_failing_tables(monkeypatch):
 def test_unread_block_is_checked():
     # No generator reads {0, 3}, where P4's marginal is I/4; a valid state
     # there that is not I/4 still contradicts the graph state.
-    rdms = exact_rdms(P4)
-    rdms.constraints[frozenset({0, 3})] = np.diag([1, 0, 0, 0]).astype(complex)
+    rdms = RdmConstraintSet(4, {**exact_rdms(P4).constraints,
+                                frozenset({0, 3}): np.diag([1, 0, 0, 0]).astype(complex)})
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         report = chain(P4, P4_GENS, rdms)
         assert report.status == INCONSISTENT and report.state is None
@@ -499,9 +486,7 @@ def test_superset_block_is_checked_in_full():
 def test_log_indexing_matches_iteration(edit):
     rdms = exact_rdms(P4)
     if edit is not None:
-        key = frozenset({0, 1})
-        rdms.constraints[key] = rdms.constraints[key].copy()
-        edit(rdms.constraints[key])
+        rdms = edited(rdms, frozenset({0, 1}), edit)
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         log = chain(P4, P4_GENS, rdms).forcing_log
         steps = list(log)
@@ -586,7 +571,7 @@ def test_chains_compute_no_closed_form_marginal(family, monkeypatch):
 
 
 
-# --- graph side shared by both chains ---
+# --- one setup per family, shared by both chains ---
 
 def test_both_chains_share_one_graph_side(monkeypatch):
     # The group check and the sign vector depend on (gens, graph) alone: one
@@ -606,20 +591,59 @@ def test_both_chains_share_one_graph_side(monkeypatch):
     assert calls == Counter({"_check_graph_group": 1, "sign_vector": 1})
 
 
-def test_graph_side_reads_no_constraint():
-    # Edits to the constraints between calls are seen: nothing read from
-    # them outlives a call.
-    rdms = exact_rdms(P4)
+def test_one_setup_per_family_across_chains_and_tols(monkeypatch):
+    # tol is read only by the verdict: one family through both chains at
+    # three tolerances checks the group, takes the signs and tabulates each
+    # block once, and every call still returns a fresh report.
+    import stabdet.determination as determination
+    calls = Counter()
+    for name in ("_check_graph_group", "sign_vector", "_table"):
+        def counted(*args, f=getattr(determination, name), name=name):
+            calls[args[2] if name == "_table" else name] += 1
+            return f(*args)
+        monkeypatch.setattr(determination, name, counted)
+    rdms = edited(exact_rdms(P4), frozenset({0, 1}), lambda m: _bump(m, 0, 1, 1e-6))
+    reports = [chain(P4, P4_GENS, rdms, tol=tol) for tol in (1e-12, 1e-9, 1e-3)
+               for chain in (forcing_chain_pure, forcing_chain_mixed)]
+    assert [r.status for r in reports] == [INCONSISTENT] * 4 + [DETERMINED] * 2
+    assert calls == Counter({"_check_graph_group": 1, "sign_vector": 1,
+                             **{w: 1 for w in P4_SUPPORTS}})
+    again = forcing_chain_pure(P4, P4_GENS, rdms, tol=1e-3)
+    assert again is not reports[4] and again.state is not reports[4].state
+    again.status = "Corrupted"
+    assert forcing_chain_pure(P4, P4_GENS, rdms, tol=1e-3).status == DETERMINED
+
+
+def test_edits_cannot_reach_a_family():
+    # A family copies its blocks into read-only arrays in a read-only
+    # mapping, so the setup it keeps stays true to it: neither assignment,
+    # an in-place write, nor an edit of the caller's arrays changes a verdict.
+    source = {w: stabilizer_rdm(P4_GENS, w) for w in P4_SUPPORTS}
+    rdms = RdmConstraintSet(4, source)
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         assert chain(P4, P4_GENS, rdms).status == DETERMINED
     key = frozenset({0, 1})
-    rdms.constraints[key] = rdms.constraints[key].copy()
-    rdms.constraints[key][0, 1] += 0.01
-    for chain in (forcing_chain_pure, forcing_chain_mixed):
-        assert chain(P4, P4_GENS, rdms).status == INCONSISTENT
-    rdms.constraints[key] = exact_rdms(P4).constraints[key]
+    with pytest.raises(TypeError):
+        rdms.constraints[key] = np.eye(4) / 4
+    with pytest.raises(ValueError, match="read-only"):
+        rdms.constraints[key][0, 1] += 0.01
+    with pytest.raises(FrozenInstanceError):
+        rdms.constraints = {}
+    source[key][0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        RdmConstraintSet(4, source)
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         assert chain(P4, P4_GENS, rdms).status == DETERMINED
+    source[key] = np.zeros((3, 3))
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        assert chain(P4, P4_GENS, rdms).status == DETERMINED
+    assert np.array_equal(rdms.constraints[key], stabilizer_rdm(P4_GENS, key))
+
+
+def test_duplicate_blocks_are_rejected():
+    block = np.eye(4) / 4
+    with pytest.raises(ValueError, match=r"constraint on \[0, 1\] is given twice"):
+        RdmConstraintSet(2, {(0, 1): block, (1, 0): block})
 
 
 def test_graph_side_is_keyed_by_the_graph_too():
@@ -633,27 +657,48 @@ def test_graph_side_is_keyed_by_the_graph_too():
     assert forcing_chain_mixed(P4, P4_GENS, exact_rdms(P4)).status == DETERMINED
 
 
-def test_graph_side_holds_one_read_only_family():
-    import stabdet.determination as determination
-    rdms = exact_rdms(P4)
+def test_setup_is_read_only_and_keeps_no_marginal():
     key = frozenset({1, 2, 3})
-    rdms.constraints[key] = rdms.constraints[key].copy()
-    rdms.constraints[key][0, 0] += 0.01  # the walk reads this block alone
+    # the walk reads this block alone
+    rdms = edited(exact_rdms(P4), key, lambda m: _bump(m, 0, 0))
     assert forcing_chain_mixed(P4, P4_GENS, rdms).status == INCONSISTENT
-    (side,) = determination._GRAPH_SIDE.values()
-    assert set(side.marginals) == set(P4_SUPPORTS) and set(side.subs) == {key}
-    arrays = [side.forced, side.tops, side.signs, *side.marginals.values(),
-              *side.subs.values()]
-    assert not any(a.flags.writeable for a in arrays)
+    setup = rdms._setup(P4, P4_GENS)
+    assert set(setup.tables) == set(P4_SUPPORTS) and set(setup.subs) == {key}
+    assert all(c is rdms.constraints[w] for w, (_, c, _) in setup.tables.items())
+    own = [setup.forced, setup.tops, setup.signs, *setup.subs.values(),
+           *(dev for dev, _, _ in setup.tables.values())]
+    assert not any(a.flags.writeable for a in own + list(rdms.constraints.values()))
     # 2^n sub-indices of at most 3 bits each take a byte apiece
-    assert all(sub.dtype == np.uint8 for sub in side.subs.values())
+    assert all(sub.dtype == np.uint8 for sub in setup.subs.values())
+    # the state's marginals were read once, into the tables, and not kept
+    marginals = [stabilizer_rdm(P4_GENS, w) for w in P4_SUPPORTS]
+    assert not any(a.shape == m.shape and np.allclose(a, m) for a in own for m in marginals)
 
     star = Graph.star(4)
-    star_gens = canonical_generators(star)
-    assert forcing_chain_pure(star, star_gens, exact_rdms(star)).status == DETERMINED
-    assert list(determination._GRAPH_SIDE) == [(star_gens, star.theta.tobytes())]
+    star_gens, star_rdms = canonical_generators(star), exact_rdms(star)
+    assert forcing_chain_pure(star, star_gens, star_rdms).status == DETERMINED
     # an exact family walks no stage, so it builds no sub-index
-    assert not determination._GRAPH_SIDE[star_gens, star.theta.tobytes()].subs
+    assert not star_rdms._setup(star, star_gens).subs
+
+
+def test_a_dropped_family_leaves_nothing_behind():
+    # The setup lives on the family, so once the caller drops the family its
+    # tables and signs go too; a full-window block's table is the size of
+    # the whole density matrix.
+    g = Graph.path(10)
+    gens = canonical_generators(g)
+    window = stabilizer_rdm(gens, range(10))
+    tracemalloc.start()
+    try:
+        rdms = RdmConstraintSet(10, {frozenset(range(10)): window})
+        statuses = [chain(g, gens, rdms).status
+                    for chain in (forcing_chain_pure, forcing_chain_mixed)]
+        del rdms
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert statuses == [DETERMINED, DETERMINED]
+    assert retained < 0.1 * 2 ** 20
 
 
 # --- kernel analysis ---
