@@ -32,7 +32,6 @@ from .graph_state import (
     LocalCliffordLayer,
     canonical_generators,
     lc_to_graph,
-    quadratic_form,
     state_vector,
 )
 from .determination import (

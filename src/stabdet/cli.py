@@ -19,6 +19,7 @@ import numpy as np
 
 from . import f2_pauli
 from .stabilizer import (
+    _require_valid,
     density_matrix,
     format_density_matrix,
     minimal_support_set,
@@ -174,6 +175,7 @@ def cmd_check(args) -> int:
 def cmd_minimal(args) -> int:
     try:
         gens = parse_generator_file(_read(args.generators))
+        _require_valid(gens)
         supports = minimal_support_set(gens)
     except ValueError as exc:
         raise CommandError(str(exc))

@@ -12,6 +12,9 @@ basis state sum(x_j << (n-1-j)), and ``op.v`` is the basis-index translation
 of the operator.  Products and commutation are popcounts of these masks (the
 packing of Aaronson & Gottesman 2004, quant-ph/0406196).
 
+``PauliOperator`` is the public boundary; inside the library a tableau row is
+the bare ``(phase_exp, u, v)`` triple, combined by ``row_product``.
+
 GF(2) matrices are lists of int rows with column c of a w-column matrix at
 bit w-1-c; ``f2_rank`` accepts a numpy 0/1 array and converts at that
 boundary only.
@@ -38,9 +41,12 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-9
 
 PHASES = (1, 1j, -1, -1j)  # i**k for k = 0..3
+_PHASE_VALUES = np.array(PHASES) + 0  # + 0: no -0.0 parts
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
 _BITS_TO_CHAR = {bits: ch for ch, bits in _CHAR_TO_BITS.items()}
+_TO_U, _TO_V = str.maketrans("IXZY", "0011"), str.maketrans("IXZY", "0101")
+_INVALID = str.maketrans("", "", "IXZY")  # keeps only the characters that are not Paulis
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,11 @@ class PauliOperator:
     @property
     def phase(self) -> complex:
         return PHASES[self.phase_exp]
+
+    @property
+    def row(self) -> tuple:
+        """The (phase_exp, u, v) triple of the operator."""
+        return self.phase_exp, self.u, self.v
 
     @property
     def is_hermitian(self) -> bool:
@@ -127,18 +138,23 @@ def from_binary(u: Sequence[int], v: Sequence[int], phase: complex = 1) -> Pauli
     raise ValueError(f"phase must be one of 1, i, -1, -i, got {phase!r}")
 
 
-def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Exact product of two Pauli operators of equal size.
+def row_product(a: tuple, b: tuple) -> tuple:
+    """Exact product of two (phase_exp, u, v) rows.
 
     With each operator written as i^{k + |u&v|} X^v Z^u, moving Z^{u_a} past
     X^{v_b} costs (-1)^{|u_a & v_b|}.
     """
+    (ka, ua, va), (kb, ub, vb) = a, b
+    u, v = ua ^ ub, va ^ vb
+    return ((ka + kb + (ua & va).bit_count() + (ub & vb).bit_count()
+             + 2 * (ua & vb).bit_count() - (u & v).bit_count()) % 4, u, v)
+
+
+def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+    """Exact product of two Pauli operators of equal size."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    u, v = a.u ^ b.u, a.v ^ b.v
-    k = (a.phase_exp + b.phase_exp + (a.u & a.v).bit_count() + (b.u & b.v).bit_count()
-         + 2 * (a.u & b.v).bit_count() - (u & v).bit_count())
-    return _pauli(k % 4, u, v, a.n)
+    return _pauli(*row_product(a.row, b.row), a.n)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
@@ -180,20 +196,27 @@ def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
                   gather_bits(op.v, idx, op.n), len(idx))
 
 
-def nonzero_entries(ops: Sequence[PauliOperator]) -> tuple:
+def row_entries(ops: Sequence[tuple], n: int) -> tuple:
     """(columns, values) of the one nonzero entry in each row of the dense
-    matrices of one or more operators on a common qubit count, one array row
-    per operator: row r of an operator holds i^{k - |u&v|} (-1)^{|u&r|} at
-    column r ^ v.  The parity of u & r folds over the n bits of r only."""
-    rows = np.arange(1 << ops[0].n, dtype=np.int64)
-    u = np.array([[op.u] for op in ops], dtype=np.int64)
-    v = np.array([[op.v] for op in ops], dtype=np.int64)
+    matrices of one or more n-qubit (phase_exp, u, v) rows, one array row per
+    operator: row r of an operator holds i^{k - |u&v|} (-1)^{|u&r|} at column
+    r ^ v.  The parity of u & r folds over the n bits of r only."""
+    rows = np.arange(1 << n, dtype=np.int64)
+    c, u, v = np.array([(k - (u & v).bit_count(), u, v) for k, u, v in ops],
+                       dtype=np.int64).T[:, :, None]
     parity = rows & u
-    for k in reversed(range((ops[0].n - 1).bit_length())):
-        parity ^= parity >> (1 << k)
-    phase = np.array([[PHASES[(op.phase_exp - (op.u & op.v).bit_count()) % 4]]
-                      for op in ops])
-    return rows ^ v, phase * (1 - 2 * (parity & 1))
+    for j in reversed(range((n - 1).bit_length())):
+        parity ^= parity >> (1 << j)
+    # The entry is i^(c + 2 parity), and mod 4 only the fold's low bit counts;
+    # in place, so no other (ops, 2^n) array is made.
+    parity <<= 1
+    parity += c
+    return rows ^ v, _PHASE_VALUES.take(parity, mode="wrap")
+
+
+def nonzero_entries(ops: Sequence[PauliOperator]) -> tuple:
+    """``row_entries`` of operators on a common qubit count."""
+    return row_entries([op.row for op in ops], ops[0].n)
 
 
 def dense_matrix(op: PauliOperator, cap: int = DENSE_MATRIX_CAP) -> np.ndarray:
@@ -217,13 +240,10 @@ def parse_pauli(text: str) -> PauliOperator:
         s = s[1:]
     if not s:
         raise ValueError(f"empty Pauli string in {text!r}")
-    u = v = 0
-    for ch in s:
-        if ch not in _CHAR_TO_BITS:
-            raise ValueError(f"invalid Pauli character {ch!r} in {text!r}")
-        uj, vj = _CHAR_TO_BITS[ch]
-        u, v = (u << 1) | uj, (v << 1) | vj
-    return PauliOperator(phase_exp, u, v, len(s))
+    bad = s.translate(_INVALID)
+    if bad:
+        raise ValueError(f"invalid Pauli character {bad[0]!r} in {text!r}")
+    return _pauli(phase_exp, int(s.translate(_TO_U), 2), int(s.translate(_TO_V), 2), len(s))
 
 
 def format_pauli(op: PauliOperator) -> str:
@@ -243,8 +263,8 @@ def eliminate(rows: Iterable, key=lambda row: row, combine=operator.xor,
     """Gaussian elimination over GF(2), one row at a time.
 
     ``key`` maps a row to its int mask and ``combine`` adds two rows, XORing
-    their masks: rows are masks by default, Pauli operators under
-    ``multiply`` work too.  Returns (pivots, dependent): the row leading at
+    their masks: rows are masks by default, (phase_exp, u, v) rows under
+    ``row_product`` work too.  Returns (pivots, dependent): the row leading at
     each pivot bit, and in input order the rows the earlier pivots cleared.
     With ``reduced`` the pivots form the unique reduced row echelon form.
     """

@@ -5,7 +5,7 @@ arbitrary full stabilizer generator set into graph form."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -14,11 +14,11 @@ from .f2_pauli import (
     PauliOperator,
     _pauli,
     eliminate,
-    multiply,
     pack_rows,
+    row_product,
     unpack_rows,
 )
-from .stabilizer import GeneratorSet
+from .stabilizer import GeneratorSet, _require_valid
 
 
 class Graph:
@@ -77,15 +77,6 @@ def canonical_generators(g: Graph) -> GeneratorSet:
                               for s, u in enumerate(pack_rows(g.theta))), n)
 
 
-def quadratic_form(g: Graph, x: Sequence[int]) -> int:
-    """Sum over vertex pairs s < t of theta_st x_s x_t, mod 2."""
-    x = np.array(x, dtype=np.uint8) % 2
-    if x.shape != (g.n,):
-        raise ValueError(f"bit vector length {x.shape} does not match n={g.n}")
-    upper = np.triu(g.theta, k=1)
-    return int(x @ upper @ x) % 2
-
-
 def sign_vector(g: Graph) -> np.ndarray:
     """(-1)^{f(x)} for every basis index x, as a length-2^n array of +-1."""
     x = (np.arange(1 << g.n)[:, None] >> np.arange(g.n - 1, -1, -1)) & 1
@@ -114,20 +105,15 @@ _GATE_ACTION = {
     "X": lambda u, v, m: (u, v, u & m),
     "Z": lambda u, v, m: (u, v, v & m),
 }
-_GATE_DENSE = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
-def _conjugate(op: PauliOperator, gate: str, mask: int) -> PauliOperator:
-    """Exact image U op U^dag for one single-qubit gate U on every qubit of mask."""
+def _conjugate(row: tuple, gate: str, mask: int) -> tuple:
+    """Exact image U P U^dag of a row P for one single-qubit gate U on every qubit of mask."""
     if gate not in _GATE_ACTION:
         raise ValueError(f"unknown gate {gate!r}")
-    u, v, sign = _GATE_ACTION[gate](op.u, op.v, mask)
-    return _pauli((op.phase_exp + 2 * sign.bit_count()) % 4, u, v, op.n)
+    k, u, v = row
+    u, v, sign = _GATE_ACTION[gate](u, v, mask)
+    return (k + 2 * sign.bit_count()) % 4, u, v
 
 
 @dataclass(frozen=True)
@@ -148,22 +134,11 @@ class LocalCliffordLayer:
         """Exact image U op U^dag under the layer."""
         if op.n != self.n:
             raise ValueError(f"size mismatch: {op.n} vs {self.n}")
+        row = op.row
         for q, seq in enumerate(self.gates):
             for gate in seq:
-                op = _conjugate(op, gate, 1 << (op.n - 1 - q))
-        return op
-
-    def qubit_unitary(self, q: int) -> np.ndarray:
-        m = np.eye(2, dtype=complex)
-        for gate in self.gates[q]:
-            m = _GATE_DENSE[gate] @ m
-        return m
-
-    def dense_unitary(self) -> np.ndarray:
-        m = np.array([[1]], dtype=complex)
-        for q in range(self.n):
-            m = np.kron(m, self.qubit_unitary(q))
-        return m
+                row = _conjugate(row, gate, 1 << (op.n - 1 - q))
+        return _pauli(*row, op.n)
 
     @property
     def is_identity(self) -> bool:
@@ -174,8 +149,9 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
     """Reduce a full stabilizer generator set to graph form.
 
     Returns (graph, layer) such that conjugating the input group by the layer
-    gives exactly the graph state's stabilizer group.  The z-rows of
-    ``gens.form`` are the products with no x-part.  Their z-parts commute
+    gives exactly the graph state's stabilizer group, acting on the rows of
+    ``gens.rows`` and checking them against the graph's canonical masks.  The
+    z-rows are the products with no x-part.  Their z-parts commute
     with every generator, so they are orthogonal to every x-part, and there
     are n - rank of them: they span the kernel of the x-block.
     Basis-exchange gates on their pivot qubits P make the x-block invertible:
@@ -187,23 +163,23 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
     generator j); quarter-phase gates clear the diagonal of the z-block, and
     Pauli Z corrections absorb the -1 generator signs.
     """
-    form = gens.form
+    _require_valid(gens)
     if gens.l != gens.n:
         raise ValueError(f"need a full generating set: l={gens.l}, n={gens.n}")
-    n, ops, masks = gens.n, [g for _, g in form], {}
+    n, rows, masks = gens.n, [row for _, row in gens.rows], {}
 
     def apply(gate, mask):
         masks[gate] = mask
-        return [_conjugate(op, gate, mask) for op in ops]
+        return [_conjugate(row, gate, mask) for row in rows]
 
-    ops = apply("H", sum(pivot for pivot, g in form if not g.v))
-    pivots, _ = eliminate(ops, key=lambda op: op.v, combine=multiply, reduced=True)
-    ops = [pivots[n - 1 - j] for j in range(n)]
-    ops = apply("S", sum(op.u & op.v for op in ops))
-    graph = Graph(unpack_rows([op.u for op in ops], n).T)
-    ops = apply("Z", sum(op.v for op in ops if op.phase_exp == 2))
+    rows = apply("H", sum(pivot for pivot, (_, _, v) in gens.rows if not v))
+    pivots, _ = eliminate(rows, key=lambda r: r[2], combine=row_product, reduced=True)
+    rows = [pivots[n - 1 - j] for j in range(n)]
+    rows = apply("S", sum(u & v for _, u, v in rows))
+    graph = Graph(unpack_rows([u for _, u, _ in rows], n).T)
+    rows = apply("Z", sum(v for k, _, v in rows if k == 2))
 
-    if tuple(ops) != canonical_generators(graph).generators:
+    if rows != [(0, u, 1 << (n - 1 - j)) for j, u in enumerate(pack_rows(graph.theta))]:
         raise AssertionError("graph-form reduction failed to reach canonical form")
     return graph, LocalCliffordLayer(tuple(tuple(gate for gate in masks if masks[gate] >> q & 1)
                                            for q in range(n - 1, -1, -1)))
@@ -221,6 +197,8 @@ def parse_graph_file(text: str, cap: Optional[int] = None) -> Graph:
         raise ValueError("empty graph file")
     try:
         n = int(lines[0])
+        if n < 0:
+            raise ValueError
     except ValueError:
         raise ValueError(f"line 1: expected vertex count, got {lines[0]!r}") from None
     if cap is not None and n > cap:

@@ -25,6 +25,7 @@ from .f2_pauli import (
     STATE_ENUMERATION_CAP,
     TRACE_TOL,
     PauliOperator,
+    _pauli,
     commutes,
     dense_matrix,
     eliminate,
@@ -33,12 +34,11 @@ from .f2_pauli import (
     identity,
     index_set,
     multiply,
-    nonzero_entries,
     pack_rows,
     parse_pauli,
-    restrict,
+    row_entries,
+    row_product,
     set_positions,
-    support,
     unpack_rows,
 )
 
@@ -51,6 +51,8 @@ class GeneratorSet:
     n: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"qubit count must be non-negative, got {self.n}")
         for g in self.generators:
             if g.n != self.n:
                 raise ValueError("all generators must act on the same qubit count")
@@ -65,9 +67,15 @@ class GeneratorSet:
         return validate(self)
 
     @cached_property
-    def form(self) -> tuple:
-        """``_pivoted_form(self)``, built once."""
+    def rows(self) -> tuple:
+        """``_pivoted_form(self)``, built once, valid set or not."""
         return _pivoted_form(self)
+
+    @cached_property
+    def form(self) -> tuple:
+        """``rows`` of a valid set as (pivot, PauliOperator) pairs."""
+        _require_valid(self)
+        return tuple((pivot, _pauli(*row, self.n)) for pivot, row in self.rows)
 
     @classmethod
     def from_strings(cls, n: int, strings: Iterable[str]) -> "GeneratorSet":
@@ -89,16 +97,7 @@ class ValidationReport:
 
 def generator_matrix(gens: GeneratorSet) -> np.ndarray:
     """2n x l binary matrix; column s is (u_s, v_s) stacked, z-block on top."""
-    return unpack_rows([_binary_row(g) for g in gens.generators], 2 * gens.n).T
-
-
-def _binary_row(g: PauliOperator) -> int:
-    """The 2n-bit mask (u, v), z-part on top: one generator-matrix column."""
-    return (g.u << g.n) | g.v
-
-
-def _independent(ops: Sequence[PauliOperator]) -> bool:
-    return len(eliminate(_binary_row(g) for g in ops)[0]) == len(ops)
+    return unpack_rows([(g.u << gens.n) | g.v for g in gens.generators], 2 * gens.n).T
 
 
 def validate(gens: GeneratorSet) -> ValidationReport:
@@ -106,23 +105,15 @@ def validate(gens: GeneratorSet) -> ValidationReport:
     set, once per set: the report is cached as ``gens.validation``."""
     if "validation" in vars(gens):
         return gens.validation
-    problems = []
-    hermitian = True
-    for s, g in enumerate(gens.generators):
-        if not g.is_hermitian:
-            hermitian = False
-            problems.append(f"generator {s} has an imaginary phase")
-    commuting = True
-    for s in range(gens.l):
-        for t in range(s + 1, gens.l):
-            if not commutes(gens.generators[s], gens.generators[t]):
-                commuting = False
-                problems.append(f"generators {s} and {t} anticommute")
-    independent = _independent(gens.generators)
-    if not independent:
-        problems.append("binary parts are linearly dependent over GF(2)")
+    ops, l = gens.generators, gens.l
+    imaginary = [f"generator {s} has an imaginary phase"
+                 for s, g in enumerate(ops) if not g.is_hermitian]
+    anticommuting = [f"generators {s} and {t} anticommute" for s in range(l)
+                     for t in range(s + 1, l) if not commutes(ops[s], ops[t])]
+    dependent = ["binary parts are linearly dependent over GF(2)"] * (len(gens.rows) < l)
     return vars(gens).setdefault("validation", ValidationReport(
-        commuting, independent, hermitian, tuple(problems)))
+        not anticommuting, not dependent, not imaginary,
+        tuple(imaginary + anticommuting + dependent)))
 
 
 def _require_valid(gens: GeneratorSet):
@@ -132,16 +123,16 @@ def _require_valid(gens: GeneratorSet):
 
 
 def _pivoted_form(gens: GeneratorSet) -> tuple:
-    """(pivot, row) pairs generating the group, each row owning its pivot: a
-    one-qubit mask set in its x-part (its z-part if it has no x-part) and
-    clear in that part of every other row.  The rows are the reduced echelon
-    form, by multiplying generators, with the x-part on top: the x-parts
-    reduced, then the z-parts of the x-free rows, clearing the x-rows there."""
-    _require_valid(gens)
+    """(pivot, row) pairs generating the group, each (phase_exp, u, v) row
+    owning its pivot: a one-qubit mask set in its x-part (its z-part if it
+    has no x-part) and clear in that part of every other row.  The rows are
+    the reduced echelon form, by row products of the generators, with the
+    x-part on top: the x-parts reduced, then the z-parts of the x-free rows,
+    clearing the x-rows there.  A dependent generator leaves no row."""
     n = gens.n
-    rows, _ = eliminate(gens.generators, key=lambda g: (g.v << n) | g.u, combine=multiply,
-                        reduced=True)
-    return tuple((1 << (h % n), g) for h, g in rows.items())
+    rows, _ = eliminate((g.row for g in gens.generators), key=lambda r: (r[2] << n) | r[1],
+                        combine=row_product, reduced=True)
+    return tuple((1 << (h % n), row) for h, row in rows.items())
 
 
 def enumerate_group(gens: GeneratorSet) -> list:
@@ -152,16 +143,16 @@ def enumerate_group(gens: GeneratorSet) -> list:
     implementation-defined and results should be compared as sets.
     """
     _require_valid(gens)
-    return _gray_walk(gens.generators, gens.n)
+    return [_pauli(*row, gens.n) for row in _gray_walk([g.row for g in gens.generators])]
 
 
-def _gray_walk(generators: Sequence[PauliOperator], n: int) -> list:
-    """enumerate_group's walk, for generators already known to be valid."""
-    if len(generators) > ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap exceeded: l={len(generators)} > {ENUMERATION_CAP}")
-    out = [identity(n)]
-    for k in range(1, 1 << len(generators)):  # Gray codes k-1, k differ at k's low bit
-        out.append(multiply(out[-1], generators[(k & -k).bit_length() - 1]))
+def _gray_walk(rows: Sequence[tuple]) -> list:
+    """enumerate_group's walk on (phase_exp, u, v) rows of a valid set."""
+    if len(rows) > ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap exceeded: l={len(rows)} > {ENUMERATION_CAP}")
+    out = [(0, 0, 0)]
+    for k in range(1, 1 << len(rows)):  # Gray codes k-1, k differ at k's low bit
+        out.append(row_product(out[-1], rows[(k & -k).bit_length() - 1]))
     return out
 
 
@@ -183,7 +174,7 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     restrictions of all group elements supported inside omega.
 
     Those elements form the subgroup S_omega, whose k <= |omega| generators
-    come from GF(2) elimination on the at most 2|omega| rows of ``gens.form``
+    come from GF(2) elimination on the at most 2|omega| rows of ``gens.rows``
     pivoting in omega: poly(|omega|) + 2^k 4^{|omega|} once the form is built.
     """
     omega = index_set(omega, gens.n)
@@ -199,35 +190,40 @@ _SUM_BLOCK = 1 << 16
 def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     """2^{-|omega|} times the sum over S_omega of the restrictions to omega.
 
-    An element of S_omega is a product of the rows of ``gens.form`` that
-    pivot in omega, at most 2|omega|, so eliminating their bits outside omega
-    by multiplying them leaves a basis of S_omega.  Eliminating the x-parts
-    of that basis in turn splits it into shifts, with independent x-parts,
-    and diagonal elements z, so the sum is sum_a a prod_z (I + z) over the
-    products a of the shifts.  Distinct a have distinct x-parts, so each fills
-    its own entries rho[r, r ^ v_a] = a[r, r ^ v_a] d[r ^ v_a], d being the
-    diagonal of prod_z (I + z) / 2^{|omega|}; every value is a power of two
-    times 1, i, -1 or -i, so the sum is exact.
+    Everything before the sum acts on (phase_exp, u, v) rows.  An element of
+    S_omega is a product of the rows of ``gens.rows`` that pivot in omega, at
+    most 2|omega|, so eliminating their bits outside omega by row products
+    leaves a basis of S_omega, restricted to omega by gathering its bits.
+    Eliminating the x-parts of that basis in turn splits it into shifts, with
+    independent x-parts, and diagonal elements z, so the sum is
+    sum_a a prod_z (I + z) over the products a of the shifts, Gray-walked.
+    Distinct a have distinct x-parts, so each fills its own entries
+    rho[r, r ^ v_a] = a[r, r ^ v_a] d[r ^ v_a], d being the diagonal of
+    prod_z (I + z) / 2^{|omega|}; every value is a power of two times 1, i,
+    -1 or -i, so the sum is exact.
     """
-    n = gens.n
+    _require_valid(gens)
+    n, m, idx = gens.n, len(omega), sorted(omega)
     inside = sum(1 << (n - 1 - j) for j in omega)
     outside = ((1 << n) - 1) ^ inside
-    _, members = eliminate([g for pivot, g in gens.form if pivot & inside], combine=multiply,
-                           key=lambda g: ((g.u & outside) << n) | (g.v & outside))
-    basis = [restrict(g, omega) for g in members]
-    shifts, diagonal = eliminate(basis, combine=multiply, key=lambda g: g.v)
-    elements = _gray_walk(tuple(shifts.values()), len(omega))
-    dim = 1 << len(omega)
+    pivoting = [row for pivot, row in gens.rows if pivot & inside]
+    _, members = eliminate(pivoting, combine=row_product,
+                           key=lambda r: ((r[1] & outside) << n) | (r[2] & outside))
+    basis = [(k, gather_bits(u, idx, n), gather_bits(v, idx, n)) for k, u, v in members]
+    shifts, diagonal = eliminate(basis, combine=row_product, key=lambda r: r[2])
+    elements = _gray_walk(tuple(shifts.values()))
+    dim = 1 << m
     d = np.full(dim, 1.0 / dim)
-    for z in diagonal:  # row r of z holds +-1 at column r
-        d *= 1 + nonzero_entries([z])[1][0].real
+    if diagonal:  # row r of each z holds +-1 at column r
+        d *= np.prod(1 + row_entries(diagonal, m)[1].real, axis=0)
     rows = np.arange(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     block = max(1, _SUM_BLOCK // dim)
     for start in range(0, len(elements), block):
-        cols, values = nonzero_entries(elements[start:start + block])
-        # + 0 turns the -0.0 parts of products into +0.0, as a sum would.
-        rho[rows, cols] = values * d[cols] + 0
+        cols, values = row_entries(elements[start:start + block], m)
+        values *= d[cols]
+        values += 0  # turns the -0.0 parts of products into +0.0, as a sum would
+        rho[rows, cols] = values
     return rho
 
 
@@ -258,11 +254,11 @@ def minimal_support_set(gens: GeneratorSet) -> set:
     """Supports of the generators retained after dropping dominated ones.
 
     A support is dropped when it is a strict subset of another generator's
-    support; among equal supports only the lowest generator index is kept
-    (the set return type deduplicates them anyway).
+    support, compared as u | v masks; equal supports are kept once.
     """
-    supports = [support(g) for g in gens.generators]
-    return {sup for sup in supports if not any(sup < other for other in supports)}
+    masks = {g.u | g.v for g in gens.generators}
+    dominated = {s for s in masks for other in masks if s | other == other != s}
+    return {frozenset(set_positions(s, gens.n)) for s in masks - dominated}
 
 
 def _all_nontrivial_paulis(n: int) -> list:
@@ -287,22 +283,20 @@ def enumerate_stabilizer_states(n: int) -> list:
     spans_seen = set()
     generator_tuples = []
 
-    def span_key(ops):  # the reduced echelon form names the span
-        return frozenset(eliminate((_binary_row(g) for g in ops), reduced=True)[0].values())
-
     def extend(chosen, start):
-        if len(chosen) == n:
-            key = span_key(chosen)
+        if chosen.l == n:
+            key = frozenset(row[1:] for _, row in chosen.rows)  # the reduced form names the span
             if key not in spans_seen:
                 spans_seen.add(key)
-                generator_tuples.append(tuple(chosen))
+                generator_tuples.append(chosen.generators)
             return
         for k in range(start, len(candidates)):
-            cand = candidates[k]
-            if all(commutes(cand, c) for c in chosen) and _independent(chosen + [cand]):
-                extend(chosen + [cand], k + 1)
+            if all(commutes(candidates[k], c) for c in chosen.generators):
+                wider = GeneratorSet(chosen.generators + (candidates[k],), n)
+                if len(wider.rows) == wider.l:
+                    extend(wider, k + 1)
 
-    extend([], 0)
+    extend(GeneratorSet((), n), 0)
 
     eye = np.eye(1 << n, dtype=complex)
     states = []
@@ -340,6 +334,8 @@ def parse_generator_file(text: str) -> GeneratorSet:
         raise ValueError("empty generator file")
     try:
         n = int(lines[0])
+        if n < 0:
+            raise ValueError
     except ValueError:
         raise ValueError(f"line 1: expected qubit count, got {lines[0]!r}") from None
     gens = []

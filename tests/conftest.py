@@ -72,6 +72,35 @@ def edited(rdms, key, edit=None):
     return RdmConstraintSet(rdms.n, blocks)
 
 
+def quadratic_form(g, x):
+    """Sum over vertex pairs s < t of theta_st x_s x_t, mod 2."""
+    x = np.array(x, dtype=np.uint8) % 2
+    if x.shape != (g.n,):
+        raise ValueError(f"bit vector length {x.shape} does not match n={g.n}")
+    return int(x @ np.triu(g.theta, k=1) @ x) % 2
+
+
+# Dense matrices of the gates a LocalCliffordLayer lists.
+GATE_DENSE = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense_unitary(layer):
+    """Kronecker product over the qubits of each qubit's gate sequence,
+    first gate acting first, qubit 0 leftmost."""
+    m = np.array([[1]], dtype=complex)
+    for seq in layer.gates:
+        q = np.eye(2, dtype=complex)
+        for gate in seq:
+            q = GATE_DENSE[gate] @ q
+        m = np.kron(m, q)
+    return m
+
+
 def random_invertible_f2(n, rng):
     while True:
         m = rng.integers(0, 2, size=(n, n)).astype(np.uint8)

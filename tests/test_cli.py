@@ -219,6 +219,31 @@ def test_minimal_command(ghz3_file, p4_file, tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["0,1,2", "1,2,3"]
 
 
+@pytest.mark.parametrize("lines, problem", [
+    (["XI", "ZI"], "generators 0 and 1 anticommute"),
+    (["XX", "ZZ", "YY"], "binary parts are linearly dependent over GF(2)"),
+])
+def test_minimal_rejects_invalid_set(lines, problem, tmp_path, capsys):
+    path = tmp_path / "bad.gens"
+    path.write_text("\n".join(["2"] + lines) + "\n")
+    assert main(["minimal", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: invalid generator set: {problem}\n"
+
+
+@pytest.mark.parametrize("argv, text, complaint", [
+    (["minimal"], "-1\n", "expected qubit count, got '-1'"),
+    (["rdm", "--omega", "0"], "-1\n", "expected qubit count, got '-1'"),
+    (["state"], "-2\n", "expected vertex count, got '-2'"),
+    (["check"], "-2\n", "expected vertex count, got '-2'"),
+])
+def test_negative_count_is_config_error(argv, text, complaint, tmp_path, capsys):
+    path = tmp_path / "negative"
+    path.write_text(text)
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {complaint}\n"
+
+
 def test_counterexample_command(capsys):
     assert main(["counterexample"]) == 0
     out = capsys.readouterr().out

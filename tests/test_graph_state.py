@@ -11,11 +11,17 @@ from stabdet.graph_state import (
     format_graph_file,
     lc_to_graph,
     parse_graph_file,
-    quadratic_form,
     state_vector,
 )
 
-from conftest import group_key, random_graph, random_pauli, random_stabilizer_set
+from conftest import (
+    dense_unitary,
+    group_key,
+    quadratic_form,
+    random_graph,
+    random_pauli,
+    random_stabilizer_set,
+)
 
 
 # --- graphs ---
@@ -142,7 +148,7 @@ def test_layer_conjugation_matches_dense():
                       for q in range(n))
         layer = LocalCliffordLayer(gates)
         op = random_pauli(n, rng)
-        u = layer.dense_unitary()
+        u = dense_unitary(layer)
         lhs = u @ dense_matrix(op) @ u.conj().T
         rhs = dense_matrix(layer.conjugate(op))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -156,7 +162,7 @@ def test_mask_conjugation_is_qubit_by_qubit():
             int(rng.integers(0, 1 << n))
         layer = LocalCliffordLayer(tuple((gate,) if mask >> (n - 1 - q) & 1 else ()
                                          for q in range(n)))
-        assert _conjugate(op, gate, mask) == layer.conjugate(op)  # one qubit at a time
+        assert _conjugate(op.row, gate, mask) == layer.conjugate(op).row  # qubit by qubit
 
 
 def test_lc_to_graph_canonical_input_identity_layer():
@@ -222,3 +228,5 @@ def test_graph_file_header_checked_against_cap():
         parse_graph_file(text, cap=3)
     with pytest.raises(ValueError, match=r"n=10000000 > 10"):
         parse_graph_file("10000000\n", cap=10)
+    with pytest.raises(ValueError, match="line 1: expected vertex count, got '-2'"):
+        parse_graph_file("-2")

@@ -59,3 +59,15 @@ def test_chain_digest_smoke():
     pinned = "\n".join(re.sub(r" residual=\S+", "", line) for line in lines)
     assert hashlib.sha256(pinned.encode()).hexdigest() == (
         "72bf2c17eee15d034debcc8a7b76b273283d17bf054037dc898519e053a5aa5e")
+
+
+def test_form_digest_smoke():
+    # validation reports, forms, RDM bytes, graph-form reductions and minimal
+    # support sets over general-form sets with n = 1-8, valid or not
+    result = run_script(["scripts/form_digest.py", "--max-qubits", "8"])
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 8 * 12 * 4  # qubit counts x sets x variants
+    assert {line.split(" valid=")[1][:3] for line in lines} >= {"+++", "-++", "+-+", "++-"}
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "80841faa4b31eabb3512bdca71f2d4d639a9f163a70a0f3ddbfb7be8bef99d4b")

@@ -108,10 +108,12 @@ def test_generator_set_is_validated_once(monkeypatch):
 
 def test_one_validation_and_one_form_per_set(monkeypatch):
     # the marginals op: validate, lc_to_graph, then three RDMs
+    import sys
+    import stabdet.f2_pauli as f2_pauli
     import stabdet.stabilizer as stabilizer
     from stabdet.graph_state import lc_to_graph
     gens = random_stabilizer_set(8, np.random.default_rng(14))
-    calls = {"commutes": 0, "form": 0}
+    calls = {"commutes": 0, "form": 0, "multiply": 0, "pauli": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -122,12 +124,24 @@ def test_one_validation_and_one_form_per_set(monkeypatch):
     monkeypatch.setattr(stabilizer, "commutes", counted("commutes", stabilizer.commutes))
     monkeypatch.setattr(stabilizer, "_pivoted_form",
                         counted("form", stabilizer._pivoted_form))
+    # every Pauli object is made by _pauli or by the checked constructor
+    wrappers = {"multiply": counted("multiply", f2_pauli.multiply),
+                "_pauli": counted("pauli", f2_pauli._pauli)}
+    for module in [m for name, m in sys.modules.items() if name.startswith("stabdet.")]:
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(f2_pauli.PauliOperator, "__post_init__",
+                        counted("pauli", f2_pauli.PauliOperator.__post_init__))
     report = validate(gens)
     lc_to_graph(gens)
     for omega in ([0, 1], [2, 5, 7], [3]):
         stabilizer_rdm(gens, omega)
-    # one validation checks each of the 28 pairs once
-    assert calls == {"commutes": 8 * 7 // 2, "form": 1}
+    # one validation checks each of the 28 pairs once; the elimination, the
+    # reduction to graph form and the subgroup sums act on int rows, so no
+    # product is a Pauli object and at most the n form rows are made
+    assert calls["commutes"] == 8 * 7 // 2 and calls["form"] == 1
+    assert calls["multiply"] == 0 and calls["pauli"] <= 8
     assert gens.validation is report and validate(gens) is report
     assert isinstance(report.problems, tuple)
     bad = validate(GeneratorSet.from_strings(2, ["XI", "ZI", "XI"]))
@@ -467,6 +481,13 @@ def test_generator_file_round_trip():
 def test_generator_file_rejects_wrong_width():
     with pytest.raises(ValueError):
         parse_generator_file("3\nXX\n")
+
+
+def test_negative_qubit_count_is_refused():
+    with pytest.raises(ValueError, match="line 1: expected qubit count, got '-1'"):
+        parse_generator_file("-1\n")
+    with pytest.raises(ValueError, match="qubit count must be non-negative"):
+        GeneratorSet((), -1)
 
 
 def test_density_matrix_text_round_trip():
