@@ -7,7 +7,7 @@ sets: run the script from each and ``diff`` the outputs.
 
     PYTHONPATH=src python3 scripts/form_digest.py --min-qubits 1 --max-qubits 8
 
-For every n in the range the corpus takes --sets random general-form sets:
+For every n in the range the corpus takes SETS random general-form sets:
 a random graph's canonical generators under a random local Clifford layer,
 with random signs, recombined by a random invertible matrix.  Each set comes
 in four variants: the full set; a prefix of l < n generators; the set with
@@ -37,6 +37,7 @@ from stabdet.stabilizer import (
 )
 
 FULL_WINDOW_MAX_QUBITS = 8
+SETS = 12  # full sets per qubit count
 
 
 def short_hash(data: bytes) -> str:
@@ -98,14 +99,13 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--min-qubits", type=int, default=1)
     parser.add_argument("--max-qubits", type=int, default=8)
-    parser.add_argument("--sets", type=int, default=12, help="full sets per qubit count")
     args = parser.parse_args()
     if not 1 <= args.min_qubits <= args.max_qubits:
         parser.error("need 1 <= --min-qubits <= --max-qubits")
 
     for n in range(args.min_qubits, args.max_qubits + 1):
         rng = np.random.default_rng(n)
-        for i in range(args.sets):
+        for i in range(SETS):
             for name, gens in variants(random_general_form(n, rng), rng):
                 print(f"n={n} set={i} {name}: {line(gens, rng)}")
     return 0

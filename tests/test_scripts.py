@@ -64,7 +64,7 @@ def test_chain_digest_smoke():
 def test_form_digest_smoke():
     # validation reports, forms, RDM bytes, graph-form reductions and minimal
     # support sets over general-form sets with n = 1-8, valid or not
-    result = run_script(["scripts/form_digest.py", "--max-qubits", "8"])
+    result = run_script(["scripts/form_digest.py"])
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 8 * 12 * 4  # qubit counts x sets x variants
