@@ -16,13 +16,13 @@ from stabdet.determination import (
     COUNTEREXAMPLE_IMPOSTOR_GENERATORS,
     verify_counterexample,
 )
-from stabdet.f2_pauli import format_pauli
+from stabdet.f2_pauli import DEFAULT_TOL, format_pauli
 from stabdet.graph_state import Graph, canonical_generators
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tol", type=_tolerance, default=1e-9)
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     args = parser.parse_args()
 
     graph_gens = canonical_generators(Graph.path(4))

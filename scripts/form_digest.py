@@ -77,8 +77,7 @@ def line(gens: GeneratorSet, rng: np.random.Generator) -> str:
     report = validate(gens)
     form = rdms = graph = "-"
     if report.ok:
-        form = short_hash(repr([(pivot, g.phase_exp, g.u, g.v) for pivot, g in gens.form])
-                          .encode())
+        form = short_hash(repr([(pivot, *row) for pivot, row in gens.rows]).encode())
         omegas = [sorted(rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)),
                                     replace=False).tolist()) for _ in range(3)]
         if n <= FULL_WINDOW_MAX_QUBITS:

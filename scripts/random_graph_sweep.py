@@ -23,7 +23,7 @@ from stabdet.determination import (
     forcing_chain_mixed,
     forcing_chain_pure,
 )
-from stabdet.f2_pauli import support
+from stabdet.f2_pauli import DEFAULT_TOL, support
 from stabdet.graph_state import Graph, canonical_generators, state_vector
 from stabdet.stabilizer import density_matrix, stabilizer_rdm
 
@@ -35,7 +35,7 @@ class SweepConfig:
     max_qubits: int = 6
     edge_probability: float = 0.5
     seed: int = 0
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -85,7 +85,7 @@ def main() -> int:
     parser.add_argument("--max-qubits", type=int, default=6)
     parser.add_argument("--edge-probability", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=_tolerance, default=1e-9)
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     args = parser.parse_args()
     if not 0 <= args.min_qubits <= args.max_qubits:
         parser.error("need 0 <= --min-qubits <= --max-qubits, got "

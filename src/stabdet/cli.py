@@ -19,6 +19,7 @@ import numpy as np
 
 from . import f2_pauli
 from .stabilizer import (
+    _format_complex,
     _require_valid,
     density_matrix,
     format_density_matrix,
@@ -94,7 +95,7 @@ def _emit(args, name: str, content: str) -> None:
 
 def _format_state_vector(vec: np.ndarray) -> str:
     lines = [f"dim={len(vec)}"]
-    lines.extend(f"{z.real:.12g}{z.imag:+.12g}j" for z in vec)
+    lines.extend(map(_format_complex, vec))
     return "\n".join(lines) + "\n"
 
 

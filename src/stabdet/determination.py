@@ -6,16 +6,16 @@ The two forcing chains execute the uniqueness arguments as algorithms: every
 amplitude (pure chain) or matrix entry (mixed chain) of the candidate state is
 fixed from the constraints one step at a time, and the mixed chain's checked
 entries force all others by a rank-one completion.  Only a family that misses
-a generator's support yields Underdetermined.  Otherwise the deviation tables
-decide: each supplied block is tabulated once against the graph state's
-marginal, and the chain is Determined iff every entry is within tolerance.
-Every step's check reads a table entry or is bounded by one, so the stages are
-walked only when a table fails, and only for the generators reading a failing
-table, to name the first step beyond tolerance and its rule; when no step
-fails, the failing block itself is named.  The family is immutable, so
-what the chains read (the group check, signs, forcing order and tables) is
-built once per family and (graph, generators) and kept by the family: both
-chains and every tolerance share it, and only the verdict is taken per call.
+a generator's support yields Underdetermined.  Otherwise each supplied
+block's largest deviation from the graph state's marginal decides: the chain
+is Determined iff every one is within tolerance.  Every step's check reads a
+marginal entry, so the stages are walked only when a block fails, and only
+for the generators reading a failing block, to name the first step beyond
+tolerance and its rule; when no step fails, the failing block itself is
+named.  The family is immutable, so what the chains read (the group check,
+signs, forcing order and block maxima) is built once per family and (graph,
+generators) and kept by the family: both chains and every tolerance share
+it, and only the verdict is taken per call.
 
 Each report carries the steps as a ``ForcingLog``: a lazy read-only sequence
 with ``len``, iteration, indexing and per-rule ``counts()``, which builds a
@@ -30,7 +30,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
@@ -41,7 +41,10 @@ from .f2_pauli import (
     DEFAULT_TOL,
     KERNEL_CAP,
     dense_matrix,
+    gather_bits,
     index_set,
+    row_product,
+    set_positions,
     support,
 )
 from .stabilizer import (
@@ -51,7 +54,6 @@ from .stabilizer import (
     density_matrix,
     parse_density_matrix,
     format_density_matrix,
-    product,
     stabilizer_rdm,
 )
 from .graph_state import Graph, canonical_generators, sign_vector
@@ -206,11 +208,11 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
     _require_valid(gens)
     if gens.l != gens.n or gens.n != g.n:
         raise ValueError("need a full generating set on the graph's qubit count")
-    canon = canonical_generators(g).generators
+    canon = [k.row for k in canonical_generators(g).generators]
     for s, m in enumerate(gens.generators):
         if not m.v:
             raise ValueError(f"generator {s} has zero x-part; graph-form input required")
-        if product(canon, m.v, g.n) != m:
+        if reduce(row_product, (canon[j] for j in set_positions(m.v, g.n)), (0, 0, 0)) != m.row:
             raise ValueError(f"generator {s} is not an element of the graph's group")
 
 
@@ -219,43 +221,38 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _omega_rows(values: np.ndarray, w, n: int) -> np.ndarray:
-    # Row a, column r: the value at the basis index with omega bits a, rest r.
-    axes = sorted(w) + [q for q in range(n) if q not in w]
-    return values.reshape((2,) * n).transpose(axes).reshape(1 << len(w), -1)
-
-
 def _by_size(w) -> tuple:
     return len(w), sorted(w)
 
 
-def _table(signs: np.ndarray, c: np.ndarray, w: frozenset, n: int) -> np.ndarray:
-    """|C - M| for the block C on omega, M the state's marginal m m^T / 2^n
-    with m the signs as _omega_rows: sums of +-1 over a power of two, so
-    exact.  M is real, so |C - M| is hypot(Re C - M, Im C); hypot(d, 0) is
-    |d| exactly, so a real block takes the cheaper abs."""
-    m = _omega_rows(signs, w, n)
+def _table(signs: np.ndarray, c: np.ndarray, w: frozenset, n: int) -> float:
+    """The largest |C - M| for the block C on omega, M the state's marginal
+    m m^T / 2^n with m[a, r] the sign at the basis index with omega bits a,
+    rest r: sums of +-1 over a power of two, so exact.  M is real, so
+    |C - M| is hypot(Re C - M, Im C)."""
+    axes = sorted(w) + [q for q in range(n) if q not in w]
+    m = signs.reshape((2,) * n).transpose(axes).reshape(1 << len(w), -1)
     d = c.real - m @ m.T / (1 << n)
-    return _read_only(np.hypot(d, c.imag) if c.imag.any() else np.abs(d))
+    return float(np.hypot(d, c.imag, out=d).max())
 
 
 class _FamilySetup:
     """What both chains read for one family on (graph, generators), built
-    once and kept by the family.  Every array is read-only, and no state
-    marginal is kept.
+    once and kept by the family.  It reads the family's own blocks, every
+    array of its own is 1-D and read-only, and no state marginal is kept.
 
     Each generator reads the smallest block covering its support; if none
     covers one, ``missing`` names the first such generator and nothing more
-    is built.  Otherwise each block C on omega is tabulated once as |C - M|,
-    with its largest entry and its owner, the first generator with support
-    omega."""
+    is built.  Otherwise each block C on omega keeps only its largest
+    |C - M|, in ``worst``: the read blocks first, in the order first read."""
 
     def __init__(self, g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet):
         _check_graph_group(g, gens)
         if rdms.n != g.n:
             raise ValueError("constraint set qubit count does not match the graph")
         self.n, self.supports = g.n, [support(m) for m in gens.generators]
-        self.reads = [min((w for w in rdms.constraints if w >= omega), key=_by_size,
+        self.blocks = rdms.constraints
+        self.reads = [min((w for w in self.blocks if w >= omega), key=_by_size,
                           default=None) for omega in self.supports]
         self.missing = self.reads.index(None) if None in self.reads else None
         if self.missing is not None:
@@ -276,23 +273,9 @@ class _FamilySetup:
         # forced: the basis indices in forcing order; tops: the generator
         # forcing each, -1 at index 0.
         self.forced, self.tops = _read_only(span[order]), _read_only(top[order])
-        self.tables, self.worst, self.subs = {}, {}, {}  # keyed by omega
-        for w in list(dict.fromkeys(self.reads)) + sorted(rdms.constraints.keys()
-                                                          - set(self.reads), key=_by_size):
-            c = rdms.constraints[w]
-            dev = _table(self.signs, c, w, self.n)
-            self.tables[w] = (dev, c, self.supports.index(w) if w in self.supports else None)
-            self.worst[w] = float(dev.max())
-
-    def sub(self, w: frozenset) -> np.ndarray:
-        """Each basis index's omega bits, a row of omega's block, in the
-        smallest unsigned dtype that holds one; built when a walk reads it."""
-        if w not in self.subs:
-            at = _omega_rows(np.arange(1 << self.n), w, self.n)
-            sub = np.empty(1 << self.n, np.min_scalar_type(len(at) - 1))
-            sub[at] = np.arange(len(at))[:, None]
-            self.subs[w] = _read_only(sub)
-        return self.subs[w]
+        self.worst = {w: _table(self.signs, self.blocks[w], w, self.n)
+                      for w in list(dict.fromkeys(self.reads))
+                      + sorted(self.blocks.keys() - set(self.reads), key=_by_size)}
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:
@@ -321,15 +304,18 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
 
 def _deviations(setup: _FamilySetup, s: int, idx: np.ndarray) -> np.ndarray:
     """How far the constraint W that generator s reads is from the graph
-    state at the entries linking each index in idx and idx + r_s, one row per
-    index gathered from W's tables: both diagonals, and the linking entry in
-    magnitude and in value, whose target is +-2^-|W| as g_s acts inside W."""
-    w = setup.reads[s]
-    dev, c, _ = setup.tables[w]
-    sub = setup.sub(w)
-    i_w, j_w = sub[idx], sub[idx ^ setup.r_indices[s]]
-    return np.column_stack((dev[i_w, i_w], dev[j_w, j_w],
-                            np.abs(_magnitude(c[i_w, j_w]) - 1 / len(c)), dev[i_w, j_w]))
+    state at the entries linking each index i in idx and j = i + r_s, one row
+    per index: both diagonals, target 2^-|W|, and the linking entry in
+    magnitude, target 2^-|W|, and in value, target 2^-|W| s_i s_j, as g_s is
+    the one element of S_W translating i to j.  These are exactly the
+    marginal's entries, so each deviation is at most W's largest."""
+    w, r, signs = setup.reads[s], setup.r_indices[s], setup.signs
+    c, qubits, m = setup.blocks[w], sorted(w), 1 / (1 << len(w))
+    i_w, j_w = gather_bits(idx, qubits, setup.n), gather_bits(idx ^ r, qubits, setup.n)
+    link = c[i_w, j_w]
+    return np.column_stack((_magnitude(c[i_w, i_w] - m), _magnitude(c[j_w, j_w] - m),
+                            np.abs(_magnitude(link) - m),
+                            _magnitude(link - m * signs[idx] * signs[idx ^ r])))
 
 
 def _forced_deviations(setup: _FamilySetup, walked: list) -> np.ndarray:
@@ -345,18 +331,18 @@ def _forced_deviations(setup: _FamilySetup, walked: list) -> np.ndarray:
 
 def _report(setup: _FamilySetup, tol: float, stages: list, tail: list,
             state: Callable) -> ReconstructionReport:
-    """A chain's report, decided by the deviation tables alone.
+    """A chain's report, decided by the blocks' largest deviations alone.
 
-    If every table entry is within tol the chain is Determined: the residual
-    is the largest entry, the log holds every run at full length, and no stage
-    deviation is computed.  Each stage deviation is a table entry or is
-    bounded by one, so otherwise the stages, each a (run, function of the
+    If every block is within tol the chain is Determined: the residual is
+    the largest deviation, the log holds every run at full length, and no
+    stage deviation is computed.  Each stage deviation is that of one entry of
+    a block, so otherwise the stages, each a (run, function of the
     generators to walk giving the run's deviations, zero for the others, one
     (rule, wording) per deviation column), are walked only to name the first
     step above tol: that step under its column's rule.  A generator's steps
-    read only the table of the block it reads, so only the generators of a
-    failing table are walked.  Failing none, the first failing table is
-    named, by its owner, else by its qubits."""
+    read only the block it reads, so only the generators of a failing block
+    are walked.  Failing none, the first failing block is named, by the first
+    generator whose support it is, else by its qubits."""
     worst = setup.worst
     residual, runs = max(worst.values(), default=0.0), [_NORMALIZATION]
     if residual <= tol:
@@ -377,7 +363,7 @@ def _report(setup: _FamilySetup, tol: float, stages: list, tail: list,
                      f"{step.generator}")
         runs.append(run)
     w = next(w for w, dev in worst.items() if dev > tol)
-    s = setup.tables[w][2]
+    s = setup.supports.index(w) if w in setup.supports else None
     step = ForcingStep((s,) if s is not None else tuple(sorted(w)), RULE_UNUSED_ENTRY, s)
     where = f"the support of generator {s}" if s is not None else f"qubits {sorted(w)}"
     return ReconstructionReport(

@@ -13,6 +13,7 @@ from .f2_pauli import (
     DENSE_VECTOR_CAP,
     PauliOperator,
     _pauli,
+    _qubit_index,
     eliminate,
     pack_rows,
     row_product,
@@ -25,7 +26,10 @@ class Graph:
     """A simple undirected graph stored as a symmetric loop-free bit matrix."""
 
     def __init__(self, adjacency):
-        theta = np.array(adjacency, dtype=np.uint8) % 2
+        theta = np.array(adjacency)
+        if not ((theta == 0) | (theta == 1)).all():
+            raise ValueError("adjacency entries must be 0 or 1")
+        theta = theta.astype(np.uint8)
         if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
             raise ValueError("adjacency matrix must be square")
         if not np.array_equal(theta, theta.T):
@@ -48,6 +52,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable) -> "Graph":
         theta = np.zeros((n, n), dtype=np.uint8)
         for s, t in edges:
+            s, t = _qubit_index(s), _qubit_index(t)
             if s == t:
                 raise ValueError(f"self-loop on vertex {s}")
             if not (0 <= s < n and 0 <= t < n):

@@ -27,7 +27,6 @@ from .f2_pauli import (
     PauliOperator,
     _pauli,
     commutes,
-    dense_matrix,
     eliminate,
     format_pauli,
     gather_bits,
@@ -70,12 +69,6 @@ class GeneratorSet:
     def rows(self) -> tuple:
         """``_pivoted_form(self)``, built once, valid set or not."""
         return _pivoted_form(self)
-
-    @cached_property
-    def form(self) -> tuple:
-        """``rows`` of a valid set as (pivot, PauliOperator) pairs."""
-        _require_valid(self)
-        return tuple((pivot, _pauli(*row, self.n)) for pivot, row in self.rows)
 
     @classmethod
     def from_strings(cls, n: int, strings: Iterable[str]) -> "GeneratorSet":
@@ -274,7 +267,7 @@ def enumerate_stabilizer_states(n: int) -> list:
 
     Enumerates all maximal commuting independent unsigned generator tuples,
     deduplicates by group span, then attaches every sign pattern: each
-    (span, sign pattern) is a distinct state.
+    (span, sign pattern) is a distinct state, rendered by ``density_matrix``.
     """
     if n > STATE_ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration is capped at n = {STATE_ENUMERATION_CAP}")
@@ -298,16 +291,11 @@ def enumerate_stabilizer_states(n: int) -> list:
 
     extend(GeneratorSet((), n), 0)
 
-    eye = np.eye(1 << n, dtype=complex)
     states = []
     for gens in generator_tuples:
-        dense = [dense_matrix(g) for g in gens]
-        for signs in range(1 << n):
-            proj = eye
-            for i, d in enumerate(dense):
-                sign = -1 if (signs >> i) & 1 else 1
-                proj = proj @ (eye + sign * d) / 2
-            states.append(proj)
+        for signs in range(1 << n):  # bit i set: generator i takes the sign -1
+            signed = tuple(_pauli(2 * (signs >> i & 1), g.u, g.v, n) for i, g in enumerate(gens))
+            states.append(density_matrix(GeneratorSet(signed, n)))
     return states
 
 

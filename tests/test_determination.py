@@ -658,33 +658,24 @@ def test_graph_side_is_keyed_by_the_graph_too():
 
 
 def test_setup_is_read_only_and_keeps_no_marginal():
-    key = frozenset({1, 2, 3})
-    # the walk reads this block alone
-    rdms = edited(exact_rdms(P4), key, lambda m: _bump(m, 0, 0))
+    # The setup holds the family's own blocks, one float per block and only
+    # 1-D read-only arrays of its own, so it can hold no state marginal.
+    rdms = edited(exact_rdms(P4), frozenset({1, 2, 3}), lambda m: _bump(m, 0, 0))
     assert forcing_chain_mixed(P4, P4_GENS, rdms).status == INCONSISTENT
     setup = rdms._setup(P4, P4_GENS)
-    assert set(setup.tables) == set(P4_SUPPORTS) and set(setup.subs) == {key}
-    assert all(c is rdms.constraints[w] for w, (_, c, _) in setup.tables.items())
-    own = [setup.forced, setup.tops, setup.signs, *setup.subs.values(),
-           *(dev for dev, _, _ in setup.tables.values())]
-    assert not any(a.flags.writeable for a in own + list(rdms.constraints.values()))
-    # 2^n sub-indices of at most 3 bits each take a byte apiece
-    assert all(sub.dtype == np.uint8 for sub in setup.subs.values())
-    # the state's marginals were read once, into the tables, and not kept
-    marginals = [stabilizer_rdm(P4_GENS, w) for w in P4_SUPPORTS]
-    assert not any(a.shape == m.shape and np.allclose(a, m) for a in own for m in marginals)
-
-    star = Graph.star(4)
-    star_gens, star_rdms = canonical_generators(star), exact_rdms(star)
-    assert forcing_chain_pure(star, star_gens, star_rdms).status == DETERMINED
-    # an exact family walks no stage, so it builds no sub-index
-    assert not star_rdms._setup(star, star_gens).subs
+    assert setup.blocks is rdms.constraints
+    assert list(setup.worst) == P4_SUPPORTS
+    assert all(type(dev) is float for dev in setup.worst.values())
+    own = [a for a in vars(setup).values() if isinstance(a, np.ndarray)]
+    assert len(own) == 3
+    assert all(a.ndim == 1 and not a.flags.writeable for a in own)
+    assert not any(a.flags.writeable for a in rdms.constraints.values())
 
 
 def test_a_dropped_family_leaves_nothing_behind():
-    # The setup lives on the family, so once the caller drops the family its
-    # tables and signs go too; a full-window block's table is the size of
-    # the whole density matrix.
+    # The setup lives on the family: held with one full-window block, the
+    # family takes its 16 MiB complex copy and little more, and once the
+    # caller drops it, nothing is left.
     g = Graph.path(10)
     gens = canonical_generators(g)
     window = stabilizer_rdm(gens, range(10))
@@ -693,11 +684,13 @@ def test_a_dropped_family_leaves_nothing_behind():
         rdms = RdmConstraintSet(10, {frozenset(range(10)): window})
         statuses = [chain(g, gens, rdms).status
                     for chain in (forcing_chain_pure, forcing_chain_mixed)]
+        held = tracemalloc.get_traced_memory()[0]
         del rdms
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert statuses == [DETERMINED, DETERMINED]
+    assert held <= 16.5 * 2 ** 20
     assert retained < 0.1 * 2 ** 20
 
 

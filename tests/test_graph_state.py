@@ -38,6 +38,18 @@ def test_graph_rejects_loops():
         Graph.from_edges(2, [(0, 0)])
 
 
+@pytest.mark.parametrize("entry", [2, 3, 0.7, -1, np.nan])
+def test_graph_rejects_entries_other_than_0_and_1(entry):
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        Graph([[0, entry], [entry, 0]])
+
+
+def test_graph_from_edges_rejects_non_integer_vertices():
+    with pytest.raises(ValueError, match="not an integer"):
+        Graph.from_edges(3, [(0, 1.5)])
+    assert Graph.from_edges(3, [(0, np.int64(1))]).edges == [(0, 1)]
+
+
 # --- canonical generators ---
 
 def test_canonical_generators_p4():

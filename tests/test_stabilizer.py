@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabdet.f2_pauli import (
+    PauliOperator,
     dense_matrix,
     eliminate,
     format_pauli,
@@ -162,20 +163,20 @@ def test_every_form_row_owns_its_pivot_and_the_group_is_kept():
         n = int(rng.integers(1, 7))
         full = random_stabilizer_set(n, rng)
         gens = GeneratorSet(full.generators[:int(rng.integers(0, n + 1))], n)
-        form = gens.form
-        rows = [g for _, g in form]
-        for i, (pivot, g) in enumerate(form):
+        rows = [row for _, row in gens.rows]
+        for i, (pivot, (_, u, v)) in enumerate(gens.rows):
             others = rows[:i] + rows[i + 1:]
             assert pivot & (pivot - 1) == 0 and 0 <= _pivot_qubit(pivot, n) < n
-            owns_x = g.v & pivot and not any(h.v & pivot for h in others)
-            owns_z = g.u & pivot and not any(h.u & pivot for h in others)
+            owns_x = v & pivot and not any(h[2] & pivot for h in others)
+            owns_z = u & pivot and not any(h[1] & pivot for h in others)
             assert owns_x or owns_z
-        assert group_key(enumerate_group(GeneratorSet(tuple(rows), n))) == \
+        assert group_key(enumerate_group(GeneratorSet(
+            tuple(PauliOperator(*row, n) for row in rows), n))) == \
             group_key(enumerate_group(gens))
         for _ in range(3):
             size = int(rng.integers(1, n + 1))
             omega = sorted(rng.choice(n, size=size, replace=False).tolist())
-            pivoting = [g for pivot, g in form if _pivot_qubit(pivot, n) in omega]
+            pivoting = [row for pivot, row in gens.rows if _pivot_qubit(pivot, n) in omega]
             assert len(pivoting) <= 2 * len(omega)
             assert np.array_equal(stabilizer_rdm(gens, omega),
                                   subgroup_sum_by_kron(gens, omega))
