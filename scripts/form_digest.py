@@ -69,7 +69,8 @@ def variants(gens: GeneratorSet, rng: np.random.Generator):
     other = PauliOperator(int(rng.integers(4)), int(rng.integers(1 << n)),
                           int(rng.integers(1 << n)), n)
     yield "replaced", GeneratorSet(ops[:s] + (other,) + ops[s + 1:], n)
-    yield "dependent", GeneratorSet(ops[:-1] + (product(ops[:-1], (1 << (n - 1)) - 1, n),), n)
+    last = PauliOperator(*product([g.row for g in ops[:-1]], (1 << (n - 1)) - 1), n)
+    yield "dependent", GeneratorSet(ops[:-1] + (last,), n)
 
 
 def line(gens: GeneratorSet, rng: np.random.Generator) -> str:

@@ -27,15 +27,7 @@ from stabdet.f2_pauli import DEFAULT_TOL, support
 from stabdet.graph_state import Graph, canonical_generators, state_vector
 from stabdet.stabilizer import density_matrix, stabilizer_rdm
 
-
-@dataclass
-class SweepConfig:
-    trials: int = 100
-    min_qubits: int = 2
-    max_qubits: int = 6
-    edge_probability: float = 0.5
-    seed: int = 0
-    tol: float = DEFAULT_TOL
+EDGE_PROBABILITY = 0.5
 
 
 @dataclass
@@ -46,23 +38,23 @@ class SweepTally:
     log_sizes: list = field(default_factory=list)
 
 
-def sample_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    theta = np.triu((rng.random((n, n)) < p).astype(np.uint8), k=1)
+def sample_graph(n: int, rng: np.random.Generator) -> Graph:
+    theta = np.triu((rng.random((n, n)) < EDGE_PROBABILITY).astype(np.uint8), k=1)
     return Graph(theta + theta.T)
 
 
-def run_sweep(config: SweepConfig) -> dict:
-    rng = np.random.default_rng(config.seed)
+def run_sweep(args: argparse.Namespace) -> dict:
+    rng = np.random.default_rng(args.seed)
     tallies: dict[int, SweepTally] = {}
-    for _ in range(config.trials):
-        n = int(rng.integers(config.min_qubits, config.max_qubits + 1))
-        g = sample_graph(n, config.edge_probability, rng)
+    for _ in range(args.trials):
+        n = int(rng.integers(args.min_qubits, args.max_qubits + 1))
+        g = sample_graph(n, rng)
         gens = canonical_generators(g)
         rdms = RdmConstraintSet(n, {support(m): stabilizer_rdm(gens, support(m))
                                     for m in gens.generators})
 
-        pure = forcing_chain_pure(g, gens, rdms, tol=config.tol)
-        mixed = forcing_chain_mixed(g, gens, rdms, tol=config.tol)
+        pure = forcing_chain_pure(g, gens, rdms, tol=args.tol)
+        mixed = forcing_chain_mixed(g, gens, rdms, tol=args.tol)
         if pure.status != DETERMINED or mixed.status != DETERMINED:
             raise RuntimeError(f"reconstruction failed on edges {g.edges}")
 
@@ -83,23 +75,18 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--min-qubits", type=int, default=2)
     parser.add_argument("--max-qubits", type=int, default=6)
-    parser.add_argument("--edge-probability", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     args = parser.parse_args()
     if not 0 <= args.min_qubits <= args.max_qubits:
         parser.error("need 0 <= --min-qubits <= --max-qubits, got "
                      f"{args.min_qubits} and {args.max_qubits}")
-    config = SweepConfig(trials=args.trials, min_qubits=args.min_qubits,
-                         max_qubits=args.max_qubits,
-                         edge_probability=args.edge_probability,
-                         seed=args.seed, tol=args.tol)
 
     start = time.perf_counter()
-    tallies = run_sweep(config)
+    tallies = run_sweep(args)
     elapsed = time.perf_counter() - start
 
-    print(f"{config.trials} graphs, seed {config.seed}, {elapsed:.1f}s")
+    print(f"{args.trials} graphs, seed {args.seed}, {elapsed:.1f}s")
     print(f"{'n':>3} {'graphs':>7} {'pure residual':>14} "
           f"{'mixed residual':>15} {'mixed log size':>15}")
     for n in sorted(tallies):

@@ -2,8 +2,7 @@
 
 Commands: state, rdm, check, minimal, counterexample.  Exit codes: 0 for
 success / Determined, 2 for parse or configuration errors, 3 for Inconsistent,
-4 for Underdetermined.  The STABDET_CAP environment variable overrides the
-dense-size cap; --cap takes precedence over it.
+4 for Underdetermined.
 """
 
 from __future__ import annotations
@@ -11,15 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import f2_pauli
+from .f2_pauli import DENSE_MATRIX_CAP, format_pauli, support
 from .stabilizer import (
-    _format_complex,
     _require_valid,
     density_matrix,
     format_density_matrix,
@@ -39,7 +34,6 @@ from .determination import (
     parse_rdm_file,
     verify_counterexample,
 )
-from .f2_pauli import support
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -54,16 +48,14 @@ class CommandError(Exception):
     """Parse or configuration failure; maps to exit code 2."""
 
 
-def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get("STABDET_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CommandError(f"STABDET_CAP must be an integer, got {env!r}")
-    return f2_pauli.DENSE_MATRIX_CAP
+def _cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return cap
 
 
 def _tolerance(text: str) -> float:
@@ -93,28 +85,19 @@ def _emit(args, name: str, content: str) -> None:
         sys.stdout.write(f"# {name}\n{content}")
 
 
-def _format_state_vector(vec: np.ndarray) -> str:
-    lines = [f"dim={len(vec)}"]
-    lines.extend(map(_format_complex, vec))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_state(args) -> int:
     try:
-        text = _read(args.graph)
-        cap = _resolve_cap(args)
-        graph = parse_graph_file(text, cap=cap)
-        vec = state_vector(graph, cap=cap)
-        rho = density_matrix(canonical_generators(graph), cap=cap)
+        graph = parse_graph_file(_read(args.graph), cap=args.cap)
+        vec = state_vector(graph, cap=args.cap)
+        rho = density_matrix(canonical_generators(graph), cap=args.cap)
     except ValueError as exc:
         raise CommandError(str(exc))
-    _emit(args, "state.txt", _format_state_vector(vec))
+    _emit(args, "state.txt", format_density_matrix(vec[:, None]))  # one entry a line
     _emit(args, "rho.txt", format_density_matrix(rho))
     return EXIT_OK
 
 
 def cmd_rdm(args) -> int:
-    cap = _resolve_cap(args)
     try:
         gens = parse_generator_file(_read(args.generators))
         named = []
@@ -127,7 +110,7 @@ def cmd_rdm(args) -> int:
                 raise ValueError(f"omega {first} and omega {omega} both map to {name}")
             named.append((omega, name))
         for omega, name in named:
-            rho = stabilizer_rdm(gens, omega, cap=cap)
+            rho = stabilizer_rdm(gens, omega, cap=args.cap)
             _emit(args, name, format_density_matrix(rho))
     except ValueError as exc:
         raise CommandError(str(exc))
@@ -136,15 +119,14 @@ def cmd_rdm(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        text = _read(args.graph)
-        cap = _resolve_cap(args)  # the chains are 2^n-sized whatever the family
-        graph = parse_graph_file(text, cap=cap)
+        # the chains are 2^n-sized whatever the family
+        graph = parse_graph_file(_read(args.graph), cap=args.cap)
         gens = canonical_generators(graph)
         if args.rdm:
             rdms = parse_rdm_file(_read(args.rdm), graph.n)
         else:
             supports = [support(m) for m in gens.generators]
-            rdms = RdmConstraintSet(graph.n, {w: stabilizer_rdm(gens, w, cap=cap)
+            rdms = RdmConstraintSet(graph.n, {w: stabilizer_rdm(gens, w, cap=args.cap)
                                               for w in supports})
         chain = forcing_chain_pure if args.pure else forcing_chain_mixed
         report = chain(graph, gens, rdms, tol=args.tol)
@@ -196,6 +178,9 @@ def cmd_counterexample(args) -> int:
             "all_pass": report.all_pass,
         }))
     else:
+        for name, gens in (("path-graph", report.graph_generators),
+                           ("competing", report.impostor_generators)):
+            print(f"{name} generators: {' '.join(map(format_pauli, gens.generators))}")
         print(f"trace distance between the two states: {report.trace_distance:.6g} "
               f"({'> 0.1' if report.states_differ else 'NOT > 0.1'})")
         for w, dev in sorted(report.shared_supports.items(),
@@ -218,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--tol": dict(type=_tolerance, default=DEFAULT_TOL,
                       help="absolute tolerance for equality checks"),
-        "--cap": dict(type=int, default=None,
-                      help="dense-size cap override (qubit count)"),
+        "--cap": dict(type=_cap, default=DENSE_MATRIX_CAP,
+                      help=f"dense-size cap in qubits (default {DENSE_MATRIX_CAP})"),
         "--json": dict(action="store_true",
                        help="emit a machine-readable summary"),
         "--out": dict(default=None, help="output directory (default: stdout)"),

@@ -30,7 +30,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cache, reduce
+from functools import cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
@@ -43,8 +43,6 @@ from .f2_pauli import (
     dense_matrix,
     gather_bits,
     index_set,
-    row_product,
-    set_positions,
     support,
 )
 from .stabilizer import (
@@ -54,9 +52,10 @@ from .stabilizer import (
     density_matrix,
     parse_density_matrix,
     format_density_matrix,
+    product,
     stabilizer_rdm,
 )
-from .graph_state import Graph, canonical_generators, sign_vector
+from .graph_state import Graph, canonical_generators, canonical_rows, sign_vector
 
 DETERMINED = "Determined"
 INCONSISTENT = "Inconsistent"
@@ -208,11 +207,11 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
     _require_valid(gens)
     if gens.l != gens.n or gens.n != g.n:
         raise ValueError("need a full generating set on the graph's qubit count")
-    canon = [k.row for k in canonical_generators(g).generators]
+    canon = canonical_rows(g)
     for s, m in enumerate(gens.generators):
         if not m.v:
             raise ValueError(f"generator {s} has zero x-part; graph-form input required")
-        if reduce(row_product, (canon[j] for j in set_positions(m.v, g.n)), (0, 0, 0)) != m.row:
+        if product(canon, m.v) != m.row:
             raise ValueError(f"generator {s} is not an element of the graph's group")
 
 
@@ -257,8 +256,6 @@ class _FamilySetup:
         self.missing = self.reads.index(None) if None in self.reads else None
         if self.missing is not None:
             return
-        # (-1)^{f} per basis index, first, so that sign_vector's 2^n x n
-        # temporaries peak while nothing else of the setup is alive.
         self.signs = _read_only(sign_vector(g))
         # Each generator is the group element named by its x-part, so the n
         # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
@@ -562,6 +559,8 @@ COUNTEREXAMPLE_SHARED_SUPPORTS = ({0, 1, 2}, {0, 3}, {1, 3}, {2, 3})
 
 @dataclass
 class CounterexampleReport:
+    graph_generators: GeneratorSet     # the path graph's canonical set
+    impostor_generators: GeneratorSet  # the dropped-generator set
     trace_distance: float
     shared_supports: dict          # support -> max marginal deviation
     distinguishing_supports: dict  # support -> max marginal deviation
@@ -603,6 +602,8 @@ def verify_counterexample(tol: float = DEFAULT_TOL) -> CounterexampleReport:
     report = forcing_chain_mixed(g, gens, rdms, tol=tol)
 
     return CounterexampleReport(
+        graph_generators=gens,
+        impostor_generators=impostor,
         trace_distance=dist,
         shared_supports=shared,
         distinguishing_supports=distinguishing,

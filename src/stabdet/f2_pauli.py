@@ -214,16 +214,11 @@ def row_entries(ops: Sequence[tuple], n: int) -> tuple:
     return rows ^ v, _PHASE_VALUES.take(parity, mode="wrap")
 
 
-def nonzero_entries(ops: Sequence[PauliOperator]) -> tuple:
-    """``row_entries`` of operators on a common qubit count."""
-    return row_entries([op.row for op in ops], ops[0].n)
-
-
-def dense_matrix(op: PauliOperator, cap: int = DENSE_MATRIX_CAP) -> np.ndarray:
+def dense_matrix(op: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n complex matrix of the operator."""
-    if op.n > cap:
-        raise ValueError(f"dense rendering cap exceeded: n={op.n} > {cap}")
-    (cols,), (values,) = nonzero_entries([op])
+    if op.n > DENSE_MATRIX_CAP:
+        raise ValueError(f"dense rendering cap exceeded: n={op.n} > {DENSE_MATRIX_CAP}")
+    (cols,), (values,) = row_entries([op.row], op.n)
     m = np.zeros((len(cols), len(cols)), dtype=complex)
     m[np.arange(len(cols)), cols] = values
     return m

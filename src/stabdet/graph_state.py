@@ -19,7 +19,7 @@ from .f2_pauli import (
     row_product,
     unpack_rows,
 )
-from .stabilizer import GeneratorSet, _require_valid
+from .stabilizer import GeneratorSet, _require_valid, read_count
 
 
 class Graph:
@@ -65,8 +65,9 @@ class Graph:
         return cls.from_edges(n, [(j, j + 1) for j in range(n - 1)])
 
     @classmethod
-    def star(cls, n: int, center: int = 0) -> "Graph":
-        return cls.from_edges(n, [(center, j) for j in range(n) if j != center])
+    def star(cls, n: int) -> "Graph":
+        """Vertex 0 joined to every other vertex."""
+        return cls.from_edges(n, [(0, j) for j in range(1, n)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and np.array_equal(self.theta, other.theta)
@@ -75,18 +76,28 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges})"
 
 
+def canonical_rows(g: Graph) -> list:
+    """The canonical generators' rows: row s is (0, s's neighbours, s)."""
+    return [(0, u, 1 << (g.n - 1 - s)) for s, u in enumerate(pack_rows(g.theta))]
+
+
 def canonical_generators(g: Graph) -> GeneratorSet:
     """Generator s has X at vertex s, Z at its neighbours, identity elsewhere."""
-    n = g.n
-    return GeneratorSet(tuple(PauliOperator(0, u, 1 << (n - 1 - s), n)
-                              for s, u in enumerate(pack_rows(g.theta))), n)
+    return GeneratorSet(tuple(_pauli(*row, g.n) for row in canonical_rows(g)), g.n)
 
 
 def sign_vector(g: Graph) -> np.ndarray:
-    """(-1)^{f(x)} for every basis index x, as a length-2^n array of +-1."""
-    x = (np.arange(1 << g.n)[:, None] >> np.arange(g.n - 1, -1, -1)) & 1
-    f = np.einsum("ij,jk,ik->i", x, np.triu(g.theta, k=1).astype(np.int64), x) % 2
-    return (1 - 2 * f).astype(float)
+    """(-1)^{f(x)} for every basis index x, as a length-2^n array of +-1, by
+    doubling over the vertices, last first: prepending vertex t multiplies the
+    signs by (-1)^{x_s} for each neighbour s > t where x_t = 1."""
+    popcount_signs = np.ones(1)  # (-1)^popcount(y) for y < 2^(n-1)
+    for _ in range(g.n - 1):
+        popcount_signs = np.concatenate((popcount_signs, -popcount_signs))
+    suffixes, signs = np.arange(len(popcount_signs)), np.ones(1)
+    for row in reversed(pack_rows(g.theta)):  # bits below len(signs): the later neighbours
+        flips = popcount_signs.take(suffixes[:len(signs)] & row)
+        signs = np.concatenate((signs, np.multiply(flips, signs, out=flips)))
+    return signs
 
 
 def state_vector(g: Graph, cap: int = DENSE_VECTOR_CAP) -> np.ndarray:
@@ -184,7 +195,7 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
     graph = Graph(unpack_rows([u for _, u, _ in rows], n).T)
     rows = apply("Z", sum(v for k, _, v in rows if k == 2))
 
-    if rows != [(0, u, 1 << (n - 1 - j)) for j, u in enumerate(pack_rows(graph.theta))]:
+    if rows != canonical_rows(graph):
         raise AssertionError("graph-form reduction failed to reach canonical form")
     return graph, LocalCliffordLayer(tuple(tuple(gate for gate in masks if masks[gate] >> q & 1)
                                            for q in range(n - 1, -1, -1)))
@@ -197,19 +208,11 @@ def lc_to_graph(gens: GeneratorSet) -> tuple:
 def parse_graph_file(text: str, cap: Optional[int] = None) -> Graph:
     """Line 1 is the vertex count, checked against cap before any allocation,
     then one 'u v' edge per line (0-based); no duplicate edges or self-loops."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph file")
-    try:
-        n = int(lines[0])
-        if n < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"line 1: expected vertex count, got {lines[0]!r}") from None
+    n, rest = read_count(text, "graph", "vertex count")
     if cap is not None and n > cap:
         raise ValueError(f"dense rendering cap exceeded: n={n} > {cap}")
     theta = np.zeros((n, n), dtype=np.uint8)
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in enumerate(rest, start=2):
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"line {i}: expected 'u v', got {ln!r}")

@@ -30,9 +30,7 @@ from .f2_pauli import (
     eliminate,
     format_pauli,
     gather_bits,
-    identity,
     index_set,
-    multiply,
     pack_rows,
     parse_pauli,
     row_entries,
@@ -234,13 +232,14 @@ def recombine_generators(gens: GeneratorSet, r_matrix) -> GeneratorSet:
     columns = pack_rows(r.T)
     if len(eliminate(columns)[0]) != l:
         raise ValueError("recombination matrix is singular over GF(2)")
-    return GeneratorSet(tuple(product(gens.generators, c, gens.n) for c in columns),
-                        gens.n)
+    rows = [g.row for g in gens.generators]
+    return GeneratorSet(tuple(_pauli(*product(rows, c), gens.n) for c in columns), gens.n)
 
 
-def product(ops: Sequence[PauliOperator], mask: int, n: int) -> PauliOperator:
-    """Product of the n-qubit ops whose index i is set in mask (bit len(ops)-1-i)."""
-    return reduce(multiply, (ops[i] for i in set_positions(mask, len(ops))), identity(n))
+def product(rows: Sequence[tuple], mask: int) -> tuple:
+    """Product of the (phase_exp, u, v) rows whose index i is set in mask
+    (bit len(rows)-1-i); (0, 0, 0) for the empty mask."""
+    return reduce(row_product, (rows[i] for i in set_positions(mask, len(rows))), (0, 0, 0))
 
 
 def minimal_support_set(gens: GeneratorSet) -> set:
@@ -315,19 +314,26 @@ def check_density_matrix(rho: np.ndarray) -> None:
 # Text formats.
 # ---------------------------------------------------------------------------
 
-def parse_generator_file(text: str) -> GeneratorSet:
-    """Line 1 is the qubit count, then one Pauli string per line."""
+def read_count(text: str, kind: str, count: str) -> tuple:
+    """(n, the later lines) of a kind of file whose line 1 is a count n >= 0;
+    blank lines are skipped and lines stripped."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ValueError("empty generator file")
+        raise ValueError(f"empty {kind} file")
     try:
         n = int(lines[0])
         if n < 0:
             raise ValueError
     except ValueError:
-        raise ValueError(f"line 1: expected qubit count, got {lines[0]!r}") from None
+        raise ValueError(f"line 1: expected {count}, got {lines[0]!r}") from None
+    return n, lines[1:]
+
+
+def parse_generator_file(text: str) -> GeneratorSet:
+    """Line 1 is the qubit count, then one Pauli string per line."""
+    n, rest = read_count(text, "generator", "qubit count")
     gens = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in enumerate(rest, start=2):
         op = parse_pauli(ln)
         if op.n != n:
             raise ValueError(f"line {i}: operator acts on {op.n} qubits, expected {n}")

@@ -249,6 +249,9 @@ def test_counterexample_command(capsys):
     out = capsys.readouterr().out
     assert "trace distance" in out
     assert "Determined" in out
+    # the two states compared, by their generator lists
+    assert out.startswith("path-graph generators: XZII ZXZI IZXZ IIZX\n"
+                          "competing generators: XZII ZXZI IIZX\n")
 
 
 def test_counterexample_tag_follows_tol(capsys):
@@ -318,20 +321,32 @@ def test_unread_option_is_parse_error(command, option, p4_file, ghz3_file,
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
-def test_cap_env_override(p4_file, monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("STABDET_CAP", "2")
-    assert main(["state", p4_file]) == 2
+def test_cap_flag(p4_file, ghz3_file, tmp_path, capsys):
+    assert main(["state", p4_file, "--cap", "2"]) == 2
     assert "cap" in capsys.readouterr().err
-    monkeypatch.setenv("STABDET_CAP", "3")
-    assert main(["check", p4_file]) == 2
+    assert main(["rdm", ghz3_file, "--omega", "0,1", "--cap", "1"]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert main(["check", p4_file, "--cap", "3"]) == 2
     assert "cap" in capsys.readouterr().err
     # a supplied family runs the same 2^n-sized chains, so the cap holds too
     gens = canonical_generators(Graph.path(4))
     rdm_path = tmp_path / "exact.rdm"
     rdm_path.write_text(format_rdm_file(RdmConstraintSet.from_state(
         density_matrix(gens), [support(m) for m in gens.generators], 4)))
-    assert main(["check", p4_file, "--rdm", str(rdm_path)]) == 2
+    assert main(["check", p4_file, "--rdm", str(rdm_path), "--cap", "3"]) == 2
     assert "cap" in capsys.readouterr().err
+    # a cap that fits
+    assert main(["state", p4_file, "--cap", "4", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["state", "rdm", "check"])
+def test_bad_cap_is_usage_error(command, p4_file, ghz3_file, capsys):
+    argv = {"state": [p4_file], "rdm": [ghz3_file, "--omega", "0"], "check": [p4_file]}
+    for cap in ("-1", "-3", "ten"):
+        assert main([command] + argv[command] + ["--cap", cap]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument --cap: must be a non-negative integer, got '{cap}'" in err
 
 
 @pytest.mark.parametrize("command", ["state", "check"])
@@ -342,12 +357,6 @@ def test_oversized_header_is_refused_before_allocating(command, tmp_path, capsys
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: dense rendering cap exceeded: n=10000000 > 10\n"
-
-
-def test_cap_flag_beats_env(p4_file, monkeypatch, tmp_path):
-    monkeypatch.setenv("STABDET_CAP", "2")
-    out = tmp_path / "out"
-    assert main(["state", p4_file, "--cap", "10", "--out", str(out)]) == 0
 
 
 def test_cli_import_loads_no_scipy():

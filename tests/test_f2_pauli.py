@@ -12,9 +12,9 @@ from stabdet.f2_pauli import (
     from_binary,
     identity,
     multiply,
-    nonzero_entries,
     parse_pauli,
     restrict,
+    row_entries,
     support,
     to_binary,
 )
@@ -218,11 +218,11 @@ def test_restriction_slices_dense_matrix():
                 assert sub[iw, iw ^ vw] == full[i_full, i_full ^ v_full]
 
 
-def test_nonzero_entries_match_the_kronecker_product():
+def test_row_entries_match_the_kronecker_product():
     rng = np.random.default_rng(12)
     for n in range(1, 11):
         ops = [random_pauli(n, rng) for _ in range(3)]
-        cols, values = nonzero_entries(ops)
+        cols, values = row_entries([op.row for op in ops], n)
         for op, c, x in zip(ops, cols, values):
             want = np.zeros((1 << n, 1 << n), dtype=complex)
             want[np.arange(1 << n), c] = x

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from stabdet.f2_pauli import dense_matrix, format_pauli, parse_pauli
+from stabdet.f2_pauli import dense_matrix, format_pauli
 from stabdet.stabilizer import GeneratorSet, density_matrix, enumerate_group, validate
 from stabdet.graph_state import (
     Graph,
@@ -11,6 +13,7 @@ from stabdet.graph_state import (
     format_graph_file,
     lc_to_graph,
     parse_graph_file,
+    sign_vector,
     state_vector,
 )
 
@@ -142,6 +145,26 @@ def test_projector_entry_formula_exhaustive():
             for j in range(1 << n):
                 fj = quadratic_form(g, tuple((j >> (n - 1 - k)) & 1 for k in range(n)))
                 assert abs(rho[i, j] - (-1) ** (fi + fj) / (1 << n)) < 1e-12
+
+
+def test_sign_vector_is_minus_one_to_the_quadratic_form():
+    rng = np.random.default_rng(16)
+    for n in range(8):
+        for _ in range(5):
+            g = random_graph(n, rng)
+            want = [(-1) ** quadratic_form(g, [(x >> (n - 1 - j)) & 1 for j in range(n)])
+                    for x in range(1 << n)]
+            signs = sign_vector(g)
+            assert signs.dtype == np.float64 and np.array_equal(signs, want)
+    # no 2^n x n bit matrix: the peak is about three times the 0.5 MiB result
+    g = random_graph(16, rng)
+    tracemalloc.start()
+    try:
+        sign_vector(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_state_vector_cap():

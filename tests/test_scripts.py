@@ -20,7 +20,6 @@ def run_script(argv):
 
 @pytest.mark.parametrize("argv", [
     ["scripts/random_graph_sweep.py", "--trials", "5", "--max-qubits", "4"],
-    ["scripts/counterexample_demo.py"],
 ])
 def test_script_runs(argv):
     result = run_script(argv)
@@ -28,13 +27,11 @@ def test_script_runs(argv):
 
 
 _SWEEP = ["scripts/random_graph_sweep.py", "--trials", "2"]
-_DEMO = ["scripts/counterexample_demo.py"]
 _BAD_TOL = "argument --tol: must be a finite positive number"
 
 
 @pytest.mark.parametrize("argv, complaint", [
-    pytest.param(script + ["--tol", tol], _BAD_TOL, id=f"{prefix}tol-{name}")
-    for script, prefix in ((_SWEEP, ""), (_DEMO, "demo-"))
+    pytest.param(_SWEEP + ["--tol", tol], _BAD_TOL, id=f"tol-{name}")
     for name, tol in (("nan", "nan"), ("inf", "inf"), ("negative", "-1"))
 ] + [pytest.param(_SWEEP + ["--min-qubits", "5", "--max-qubits", "3"],
                   "need 0 <= --min-qubits <= --max-qubits", id="min-above-max")])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabdet.f2_pauli import (
     PauliOperator,
@@ -10,6 +12,7 @@ from stabdet.f2_pauli import (
     format_pauli,
     from_binary,
     identity,
+    multiply,
     parse_pauli,
     support,
     to_binary,
@@ -22,10 +25,10 @@ from stabdet.stabilizer import (
     enumerate_stabilizer_states,
     format_density_matrix,
     format_generator_file,
-    generator_matrix,
     minimal_support_set,
     parse_density_matrix,
     parse_generator_file,
+    product,
     recombine_generators,
     stabilizer_rdm,
     validate,
@@ -37,7 +40,6 @@ from conftest import (
     group_key,
     subgroup_sum_by_kron,
     ptrace_by_summation,
-    random_graph,
     random_invertible_f2,
     random_stabilizer_set,
 )
@@ -69,7 +71,6 @@ def test_validate_dependent_set():
     assert not report.ok
     assert not report.independent
     # the dependency realizes -I: XX * YY = -ZZ
-    from stabdet.f2_pauli import multiply
     assert multiply(parse_pauli("XX"), parse_pauli("YY")) == parse_pauli("-ZZ")
 
 
@@ -401,6 +402,21 @@ def test_recombine_preserves_group():
         gens = random_stabilizer_set(n, rng)
         out = recombine_generators(gens, random_invertible_f2(n, rng))
         assert group_key(enumerate_group(out)) == group_key(enumerate_group(gens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_product_matches_the_multiply_fold(data):
+    n, l = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    ops = [PauliOperator(data.draw(st.integers(0, 3)), data.draw(masks), data.draw(masks), n)
+           for _ in range(l)]
+    for mask in (data.draw(st.integers(0, (1 << l) - 1)), 0):
+        want = identity(n)
+        for i, op in enumerate(ops):
+            if mask >> (l - 1 - i) & 1:
+                want = multiply(want, op)
+        assert product([op.row for op in ops], mask) == want.row
 
 
 def test_recombine_singular_raises():
