@@ -119,7 +119,8 @@ def cmd_rdm(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        # the chains are 2^n-sized whatever the family
+        # Graph holds an n x n matrix, so the vertex cap stays; the chains
+        # build a 2^n array only to walk a failing family or render a step.
         graph = parse_graph_file(_read(args.graph), cap=args.cap)
         gens = canonical_generators(graph)
         if args.rdm:
@@ -133,23 +134,26 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise CommandError(str(exc))
 
-    rules = report.forcing_log.counts()
+    log = report.forcing_log
     if args.json:
         print(json.dumps({"status": report.status,
                           "residual": report.max_residual,
-                          "steps": len(report.forcing_log),
-                          "rules": rules,
+                          "steps": log.steps,
+                          "rules": log.counts(),
                           "message": report.message}))
     else:
         print("Reconstruction report")
         print(f"  mode: {'pure' if args.pure else 'mixed'}")
-        print(f"  forcing steps: {len(report.forcing_log)}")
-        for rule, count in rules.items():
+        print(f"  forcing steps: {log.steps}")
+        for rule, count in log.counts().items():
             print(f"    {rule}: {count}")
         if report.message:
             print(f"  note: {report.message}")
-        if report.forcing_log:
-            last = report.forcing_log[-1]
+        try:
+            last = log[-1] if log else None
+        except ValueError:  # a chain's step is not rendered above DENSE_VECTOR_CAP qubits
+            last = None
+        if last is not None:
             print(f"  last step: entries {last.indices} by rule {last.rule!r}")
         print(f"status={report.status} residual={report.max_residual:.6g}")
     return _STATUS_EXIT[report.status]

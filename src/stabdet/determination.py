@@ -7,18 +7,22 @@ amplitude (pure chain) or matrix entry (mixed chain) of the candidate state is
 fixed from the constraints one step at a time, and the mixed chain's checked
 entries force all others by a rank-one completion.  Only a family that misses
 a generator's support yields Underdetermined.  Otherwise each supplied
-block's largest deviation from the graph state's marginal decides: the chain
-is Determined iff every one is within tolerance.  Every step's check reads a
-marginal entry, so the stages are walked only when a block fails, and only
-for the generators reading a failing block, to name the first step beyond
-tolerance and its rule; when no step fails, the failing block itself is
-named.  The family is immutable, so what the chains read (the group check,
-signs, forcing order and block maxima) is built once per family and (graph,
-generators) and kept by the family: both chains and every tolerance share
-it, and only the verdict is taken per call.
+block's largest deviation from the generators' closed-form marginal on its
+qubits, the one ``stabilizer_rdm`` gives, decides: the chain is Determined iff
+every one is within tolerance, at poly(n) 4^{|omega|} per block.  Every step's
+check reads a marginal entry, so the stages are walked only when a block
+fails, and only for the generators reading a failing block, to name the first
+step beyond tolerance and its rule; when no step fails, the failing block
+itself is named, and above DENSE_VECTOR_CAP qubits it is named without a
+walk.  The family is immutable, so what the chains read (the group check and
+block maxima) is built once per family and (graph, generators) and kept by
+the family: both chains and every tolerance share it, and only the verdict is
+taken per call.  The 2^n signs and forcing order are built only by a walk or
+a read of a step, and a report's state only when read, so a Determined
+verdict touches no 2^n array.
 
 Each report carries the steps as a ``ForcingLog``: a lazy read-only sequence
-with ``len``, iteration, indexing and per-rule ``counts()``, which builds a
+with ``steps``, iteration, indexing and per-rule ``counts()``, which builds a
 step only when asked for one, so the mixed chain's 4^n/2-step log costs
 O(2^n) memory.
 """
@@ -30,7 +34,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property, partial
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
@@ -39,6 +43,7 @@ import numpy as np
 
 from .f2_pauli import (
     DEFAULT_TOL,
+    DENSE_VECTOR_CAP,
     KERNEL_CAP,
     dense_matrix,
     gather_bits,
@@ -49,13 +54,15 @@ from .stabilizer import (
     GeneratorSet,
     _all_nontrivial_paulis,
     _require_valid,
+    _subgroup_sum,
     density_matrix,
     parse_density_matrix,
     format_density_matrix,
+    read_dim,
     product,
     stabilizer_rdm,
 )
-from .graph_state import Graph, canonical_generators, canonical_rows, sign_vector
+from .graph_state import Graph, canonical_generators, canonical_rows, sign_vector, state_vector
 
 DETERMINED = "Determined"
 INCONSISTENT = "Inconsistent"
@@ -69,6 +76,7 @@ RULE_MINOR_CHAIN = "minor-chain"
 RULE_MINOR_COMPLETION = "minor-completion"
 RULE_UNUSED_ENTRY = "unused-entry"
 RULE_MISSING_SUPPORT = "missing-support"
+RULE_BLOCK_DEVIATION = "block-deviation"
 
 
 @dataclass(frozen=True)
@@ -94,21 +102,27 @@ class ForcingLog(Sequence):
 
     The log is held as runs of steps under one rule, each generating its
     steps from the chain's setup when asked, so the length and the per-rule
-    counts come without building any step, and ``log[k]`` builds one.
+    counts come without building any step, and ``log[k]`` builds one.  The
+    length is the int ``steps``: ``len`` raises OverflowError beyond
+    sys.maxsize steps, which the mixed chain passes at n = 32.
     """
 
     def __init__(self, runs: Iterable[_Run] = ()):
         self._runs = tuple(run for run in runs if run.length)
         self._ends = list(accumulate(run.length for run in self._runs))
+        self.steps = self._ends[-1] if self._ends else 0
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self.steps
+
+    def __bool__(self) -> bool:
+        return self.steps > 0
 
     def __getitem__(self, k: int) -> ForcingStep:
         k = operator.index(k)
         if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
+            k += self.steps
+        if not 0 <= k < self.steps:
             raise IndexError("forcing log index out of range")
         r = bisect_right(self._ends, k)
         return self._runs[r].at(k - (self._ends[r - 1] if r else 0))
@@ -125,16 +139,23 @@ class ForcingLog(Sequence):
         return counts
 
     def __repr__(self) -> str:
-        return f"ForcingLog({len(self)} steps, {self.counts()})"
+        return f"ForcingLog({self.steps} steps, {self.counts()})"
 
 
 @dataclass
 class ReconstructionReport:
+    """A chain's verdict.  ``state`` is built on first read by ``build_state``:
+    the Determined state, refused above DENSE_VECTOR_CAP qubits, else None."""
+
     status: str
-    state: Optional[np.ndarray]
     forcing_log: ForcingLog = field(default_factory=ForcingLog)
     max_residual: float = 0.0
     message: str = ""
+    build_state: Callable = field(default=lambda: None, repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> Optional[np.ndarray]:
+        return self.build_state()
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,55 +245,74 @@ def _by_size(w) -> tuple:
     return len(w), sorted(w)
 
 
-def _table(signs: np.ndarray, c: np.ndarray, w: frozenset, n: int) -> float:
-    """The largest |C - M| for the block C on omega, M the state's marginal
-    m m^T / 2^n with m[a, r] the sign at the basis index with omega bits a,
-    rest r: sums of +-1 over a power of two, so exact.  M is real, so
-    |C - M| is hypot(Re C - M, Im C)."""
-    axes = sorted(w) + [q for q in range(n) if q not in w]
-    m = signs.reshape((2,) * n).transpose(axes).reshape(1 << len(w), -1)
-    d = c.real - m @ m.T / (1 << n)
-    return float(np.hypot(d, c.imag, out=d).max())
+def _largest_deviation(gens: GeneratorSet, c: np.ndarray, w: frozenset) -> float:
+    """The largest |C - M| for the block C on omega, M the generators'
+    marginal there as ``stabilizer_rdm`` gives it: exact dyadic, and real,
+    as the generators generate the graph's group."""
+    d = _subgroup_sum(gens, w)
+    d -= c
+    return float(np.hypot(d.real, d.imag, out=d.real).max())
+
+
+def _require_dense(n: int) -> None:
+    if n > DENSE_VECTOR_CAP:
+        raise ValueError(f"dense rendering cap exceeded: n={n} > {DENSE_VECTOR_CAP}")
+
+
+def _projector(g: Graph) -> np.ndarray:
+    """The graph state's density matrix signs[i] signs[j] / 2^n, exact."""
+    _require_dense(g.n)
+    signs = sign_vector(g)
+    return np.outer(signs.astype(complex) / (1 << g.n), signs)
 
 
 class _FamilySetup:
     """What both chains read for one family on (graph, generators), built
-    once and kept by the family.  It reads the family's own blocks, every
-    array of its own is 1-D and read-only, and no state marginal is kept.
+    once and kept by the family.  It reads the family's own blocks and keeps
+    no marginal.
 
     Each generator reads the smallest block covering its support; if none
     covers one, ``missing`` names the first such generator and nothing more
     is built.  Otherwise each block C on omega keeps only its largest
-    |C - M|, in ``worst``: the read blocks first, in the order first read."""
+    |C - M|, in ``worst``: the read blocks first, in the order first read.
+    The 2^n arrays, ``signs`` and ``order``, are 1-D, read-only and built on
+    first read, by a walk or a read of a step."""
 
     def __init__(self, g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet):
         _check_graph_group(g, gens)
         if rdms.n != g.n:
             raise ValueError("constraint set qubit count does not match the graph")
-        self.n, self.supports = g.n, [support(m) for m in gens.generators]
+        self.graph, self.n, self.supports = g, g.n, [support(m) for m in gens.generators]
         self.blocks = rdms.constraints
         self.reads = [min((w for w in self.blocks if w >= omega), key=_by_size,
                           default=None) for omega in self.supports]
         self.missing = self.reads.index(None) if None in self.reads else None
         if self.missing is not None:
             return
-        self.signs = _read_only(sign_vector(g))
-        # Each generator is the group element named by its x-part, so the n
-        # independent x-parts are a basis; span[code] = sum_s code_s r_s.  Indices
-        # are forced by r-weight, then index, each by the top generator in its code.
         self.r_indices = [m.v for m in gens.generators]
+        self.worst = {w: _largest_deviation(gens, self.blocks[w], w)
+                      for w in list(dict.fromkeys(self.reads))
+                      + sorted(self.blocks.keys() - set(self.reads), key=_by_size)}
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        return _read_only(sign_vector(self.graph))
+
+    @cached_property
+    def order(self) -> tuple:
+        """(forced, tops): the basis indices in forcing order and the
+        generator forcing each, -1 at index 0.  Each generator is the group
+        element named by its x-part, so the n independent x-parts are a basis;
+        span[code] = sum_s code_s r_s.  Indices are forced by r-weight, then
+        index, each by the top generator in its code."""
+        _require_dense(self.n)
         span, weight, top = np.zeros(1, np.int64), np.zeros(1, np.int64), np.full(1, -1)
         for s, r in enumerate(self.r_indices):
             span = np.concatenate((span, span ^ r))
             weight = np.concatenate((weight, weight + 1))
             top = np.concatenate((top, np.full(len(top), s)))
         order = np.lexsort((span, weight))
-        # forced: the basis indices in forcing order; tops: the generator
-        # forcing each, -1 at index 0.
-        self.forced, self.tops = _read_only(span[order]), _read_only(top[order])
-        self.worst = {w: _table(self.signs, self.blocks[w], w, self.n)
-                      for w in list(dict.fromkeys(self.reads))
-                      + sorted(self.blocks.keys() - set(self.reads), key=_by_size)}
+        return _read_only(span[order]), _read_only(top[order])
 
 
 def _magnitude(z: np.ndarray) -> np.ndarray:
@@ -294,7 +334,7 @@ def _prepare_chain(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     if s is None:
         return setup, None
     return None, ReconstructionReport(
-        UNDERDETERMINED, None,
+        UNDERDETERMINED,
         ForcingLog([_stored(ForcingStep((s,), RULE_MISSING_SUPPORT, s))]),
         message=f"no constraint covers support {sorted(setup.supports[s])} of generator {s}")
 
@@ -318,7 +358,7 @@ def _deviations(setup: _FamilySetup, s: int, idx: np.ndarray) -> np.ndarray:
 def _forced_deviations(setup: _FamilySetup, walked: list) -> np.ndarray:
     """_deviations for every forcing step after index 0, in forcing order,
     for the steps of the generators in walked; zero for the others."""
-    forced, tops = setup.forced[1:], setup.tops[1:]
+    forced, tops = (a[1:] for a in setup.order)
     devs = np.zeros((len(forced), 4))
     for s in walked:
         mine = tops == s
@@ -339,13 +379,24 @@ def _report(setup: _FamilySetup, tol: float, stages: list, tail: list,
     step above tol: that step under its column's rule.  A generator's steps
     read only the block it reads, so only the generators of a failing block
     are walked.  Failing none, the first failing block is named, by the first
-    generator whose support it is, else by its qubits."""
+    generator whose support it is, else by its qubits; above DENSE_VECTOR_CAP
+    qubits it is named so without a walk.  A Determined report builds its
+    state on first read, by the function state."""
     worst = setup.worst
     residual, runs = max(worst.values(), default=0.0), [_NORMALIZATION]
     if residual <= tol:
         return ReconstructionReport(
-            DETERMINED, state(), ForcingLog(runs + [run for run, _, _ in stages] + tail),
-            residual)
+            DETERMINED, ForcingLog(runs + [run for run, _, _ in stages] + tail), residual,
+            build_state=state)
+    w = next(w for w, dev in worst.items() if dev > tol)
+    s = setup.supports.index(w) if w in setup.supports else None
+    block = (s,) if s is not None else tuple(sorted(w))
+    where = f"the support of generator {s}" if s is not None else f"qubits {sorted(w)}"
+    if setup.n > DENSE_VECTOR_CAP:
+        return ReconstructionReport(
+            INCONSISTENT, ForcingLog([_stored(ForcingStep(block, RULE_BLOCK_DEVIATION, s))]),
+            worst[w], f"constraint on {where} deviates by {worst[w]:.3g}; no forcing "
+                      f"chain is walked above {DENSE_VECTOR_CAP} qubits")
     walked = [s for s, w in enumerate(setup.reads) if worst[w] > tol]
     for run, deviations, columns in stages:
         devs = deviations(walked)
@@ -355,16 +406,13 @@ def _report(setup: _FamilySetup, tol: float, stages: list, tail: list,
             rule, wording = columns[col]
             step, dev = replace(run.at(k), rule=rule), float(devs.flat[above[0]])
             return ReconstructionReport(
-                INCONSISTENT, None, ForcingLog(runs + [run._replace(length=k), _stored(step)]),
+                INCONSISTENT, ForcingLog(runs + [run._replace(length=k), _stored(step)]),
                 dev, f"{wording} deviates by {dev:.3g} on the support of generator "
                      f"{step.generator}")
         runs.append(run)
-    w = next(w for w, dev in worst.items() if dev > tol)
-    s = setup.supports.index(w) if w in setup.supports else None
-    step = ForcingStep((s,) if s is not None else tuple(sorted(w)), RULE_UNUSED_ENTRY, s)
-    where = f"the support of generator {s}" if s is not None else f"qubits {sorted(w)}"
     return ReconstructionReport(
-        INCONSISTENT, None, ForcingLog(runs + tail + [_stored(step)]), worst[w],
+        INCONSISTENT, ForcingLog(runs + tail + [_stored(ForcingStep(block, RULE_UNUSED_ENTRY, s))]),
+        worst[w],
         f"constraint on {where} deviates by {worst[w]:.3g} outside the forcing chain")
 
 
@@ -387,18 +435,18 @@ def forcing_chain_pure(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    forced, tops, rs = setup.forced, setup.tops, setup.r_indices
+    rs = setup.r_indices
 
     def translation(k):  # the k-th step after normalization
+        forced, tops = setup.order
         idx, s = int(forced[k + 1]), int(tops[k + 1])
         return ForcingStep((idx, idx ^ rs[s]), RULE_TRANSLATION, s)
 
-    stage = (_Run(RULE_TRANSLATION, len(forced) - 1, translation),
+    stage = (_Run(RULE_TRANSLATION, (1 << setup.n) - 1, translation),
              lambda walked: _forced_deviations(setup, walked)[:, [0, 1, 3]],
              ((RULE_DIAGONAL, "diagonal entry"), (RULE_DIAGONAL, "diagonal entry"),
               (RULE_TRANSLATION, "translation entry")))
-    return _report(setup, tol, [stage], [],
-                   lambda: setup.signs.astype(complex) / math.sqrt(1 << setup.n))
+    return _report(setup, tol, [stage], [], partial(state_vector, g))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +469,7 @@ def _completion_run(n: int, rs: list) -> _Run:
 
     @cache
     def row_ends():
+        _require_dense(n)
         rows = np.arange(1, dim)
         skips = sum(1 - ((rows >> (r.bit_length() - 1)) & 1) for r in rs)
         return np.cumsum(dim - 1 - rows - skips).tolist()
@@ -454,10 +503,11 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     setup, failure = _prepare_chain(g, gens, rdms, tol)
     if failure is not None:
         return failure
-    n, dim, rs, forced, tops = setup.n, 1 << setup.n, setup.r_indices, setup.forced, setup.tops
+    n, dim, rs = setup.n, 1 << setup.n, setup.r_indices
 
     # Stage 1: the diagonal.
     def diagonal(k):  # the k-th step after normalization
+        forced, tops = setup.order
         idx = int(forced[k + 1])
         return ForcingStep((idx, idx), RULE_DIAGONAL, int(tops[k + 1]))
 
@@ -488,12 +538,12 @@ def forcing_chain_mixed(g: Graph, gens: GeneratorSet, rdms: RdmConstraintSet,
     # Stage 3: the zero row, by chained minors over partial sums: the indices
     # of r-weight 2 and up, which follow index 0 and the n of weight 1.
     def chain(k):
+        forced, tops = setup.order
         return ForcingStep((0, int(forced[k + n + 1])), RULE_MINOR_CHAIN, int(tops[k + n + 1]))
 
     # Stage 4: everything else, one minor through the zero row each.
     tail = [_Run(RULE_MINOR_CHAIN, dim - 1 - n, chain), _completion_run(n, rs)]
-    return _report(setup, tol, stages, tail,
-                   lambda: np.outer(setup.signs.astype(complex) / dim, setup.signs))
+    return _report(setup, tol, stages, tail, partial(_projector, g))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +671,8 @@ def verify_counterexample(tol: float = DEFAULT_TOL) -> CounterexampleReport:
 
 def parse_rdm_file(text: str, n: int) -> RdmConstraintSet:
     """Repeated blocks: a line 'omega: i,j,k' followed by a density-matrix
-    grid in the standard text format."""
+    grid in the standard text format, of dim 2^|omega|.  Errors name their
+    line."""
     lines = text.splitlines()
     constraints = {}
     i = 0
@@ -633,19 +684,19 @@ def parse_rdm_file(text: str, n: int) -> RdmConstraintSet:
         if not line.startswith("omega:"):
             raise ValueError(f"line {i + 1}: expected 'omega: ...', got {line!r}")
         try:
-            omega = frozenset(int(tok) for tok in line[6:].split(","))
-        except ValueError:
-            raise ValueError(f"line {i + 1}: bad index list {line!r}") from None
+            omega = index_set(map(int, line[6:].split(",")), n)
+        except ValueError as exc:
+            raise ValueError(f"line {i + 1}: bad index list {line!r} ({exc})") from None
         if omega in constraints:
             raise ValueError(f"line {i + 1}: repeated block for omega {sorted(omega)}")
         i += 1
         while i < len(lines) and not lines[i].strip():
             i += 1
-        if i >= len(lines) or not lines[i].strip().startswith("dim="):
-            raise ValueError(f"line {i + 1}: expected 'dim=<2^k>' header")
-        dim = int(lines[i].strip()[4:])
-        block = lines[i:i + dim + 1]
-        constraints[omega] = parse_density_matrix("\n".join(block))
+        dim = read_dim(lines[i].strip() if i < len(lines) else "", i + 1)
+        if dim != 1 << len(omega):
+            raise ValueError(f"line {i + 1}: omega {sorted(omega)} needs "
+                             f"dim={1 << len(omega)}, got dim={dim}")
+        constraints[omega] = parse_density_matrix("\n".join(lines[i:i + dim + 1]), i + 1)
         i += dim + 1
     return RdmConstraintSet(n, constraints)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,10 +95,6 @@ def _pauli(phase_exp: int, u: int, v: int, n: int) -> PauliOperator:
     object.__setattr__(op, "v", v)
     object.__setattr__(op, "n", n)
     return op
-
-
-def identity(n: int) -> PauliOperator:
-    return PauliOperator(0, 0, 0, n)
 
 
 def gather_bits(x: int, positions: Iterable[int], n: int) -> int:
@@ -196,22 +193,32 @@ def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
                   gather_bits(op.v, idx, op.n), len(idx))
 
 
+@cache
+def _basis(n: int) -> tuple:
+    """(indices, parities): the 2^n basis indices and the popcount parity of
+    each, as read-only int64 arrays built once per n by doubling."""
+    parities = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        parities = np.concatenate((parities, parities ^ 1))
+    indices = np.arange(1 << n, dtype=np.int64)
+    indices.setflags(write=False)
+    parities.setflags(write=False)
+    return indices, parities
+
+
 def row_entries(ops: Sequence[tuple], n: int) -> tuple:
     """(columns, values) of the one nonzero entry in each row of the dense
     matrices of one or more n-qubit (phase_exp, u, v) rows, one array row per
     operator: row r of an operator holds i^{k - |u&v|} (-1)^{|u&r|} at column
-    r ^ v.  The parity of u & r folds over the n bits of r only."""
-    rows = np.arange(1 << n, dtype=np.int64)
+    r ^ v, the parity of u & r read from a table."""
+    rows, parities = _basis(n)
     c, u, v = np.array([(k - (u & v).bit_count(), u, v) for k, u, v in ops],
                        dtype=np.int64).T[:, :, None]
-    parity = rows & u
-    for j in reversed(range((n - 1).bit_length())):
-        parity ^= parity >> (1 << j)
-    # The entry is i^(c + 2 parity), and mod 4 only the fold's low bit counts;
-    # in place, so no other (ops, 2^n) array is made.
-    parity <<= 1
-    parity += c
-    return rows ^ v, _PHASE_VALUES.take(parity, mode="wrap")
+    # The entry is i^(c + 2 parity); in place, so no third (ops, 2^n) array is made.
+    exps = parities.take(rows & u)
+    exps <<= 1
+    exps += c
+    return rows ^ v, _PHASE_VALUES.take(exps, mode="wrap")
 
 
 def dense_matrix(op: PauliOperator) -> np.ndarray:

@@ -204,15 +204,15 @@ def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     shifts, diagonal = eliminate(basis, combine=row_product, key=lambda r: r[2])
     elements = _gray_walk(tuple(shifts.values()))
     dim = 1 << m
-    d = np.full(dim, 1.0 / dim)
+    d = 1.0 / dim
     if diagonal:  # row r of each z holds +-1 at column r
-        d *= np.prod(1 + row_entries(diagonal, m)[1].real, axis=0)
+        d = np.prod(1 + row_entries(diagonal, m)[1].real, axis=0) / dim
     rows = np.arange(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     block = max(1, _SUM_BLOCK // dim)
     for start in range(0, len(elements), block):
         cols, values = row_entries(elements[start:start + block], m)
-        values *= d[cols]
+        values *= d  # a d = d a, so row r's entry takes d[r]
         values += 0  # turns the -0.0 parts of products into +0.0, as a sum would
         rho[rows, cols] = values
     return rho
@@ -266,7 +266,11 @@ def enumerate_stabilizer_states(n: int) -> list:
 
     Enumerates all maximal commuting independent unsigned generator tuples,
     deduplicates by group span, then attaches every sign pattern: each
-    (span, sign pattern) is a distinct state, rendered by ``density_matrix``.
+    (span, sign pattern) is a distinct state.  A span's 2^n elements are
+    rendered once, element c the product of the generators i at bit i of c;
+    under sign pattern s (bit i: generator i takes the sign -1) element c
+    takes the sign (-1)^{|s & c|}, so the 2^n projectors are the Hadamard
+    transform of the elements over 2^n, exact.
     """
     if n > STATE_ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration is capped at n = {STATE_ENUMERATION_CAP}")
@@ -290,11 +294,19 @@ def enumerate_stabilizer_states(n: int) -> list:
 
     extend(GeneratorSet((), n), 0)
 
+    dim = 1 << n
+    hadamard, index = np.ones((1, 1)), np.arange(dim)
+    for _ in range(n):
+        hadamard = np.kron(hadamard, [[1, 1], [1, -1]])
     states = []
     for gens in generator_tuples:
-        for signs in range(1 << n):  # bit i set: generator i takes the sign -1
-            signed = tuple(_pauli(2 * (signs >> i & 1), g.u, g.v, n) for i, g in enumerate(gens))
-            states.append(density_matrix(GeneratorSet(signed, n)))
+        elements = [(0, 0, 0)]
+        for g in gens:
+            elements += [row_product(e, g.row) for e in elements]
+        cols, values = row_entries(elements, n)
+        rendered = np.zeros((dim, dim, dim), dtype=complex)
+        rendered[index[:, None], index, cols] = values
+        states.extend((hadamard @ rendered.reshape(dim, -1)).reshape(dim, dim, dim) / dim + 0)
     return states
 
 
@@ -334,7 +346,10 @@ def parse_generator_file(text: str) -> GeneratorSet:
     n, rest = read_count(text, "generator", "qubit count")
     gens = []
     for i, ln in enumerate(rest, start=2):
-        op = parse_pauli(ln)
+        try:
+            op = parse_pauli(ln)
+        except ValueError as exc:
+            raise ValueError(f"line {i}: {exc}") from None
         if op.n != n:
             raise ValueError(f"line {i}: operator acts on {op.n} qubits, expected {n}")
         gens.append(op)
@@ -359,17 +374,35 @@ def format_density_matrix(rho: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_density_matrix(text: str) -> np.ndarray:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim="):
-        raise ValueError("expected a 'dim=<2^k>' header line")
-    dim = int(lines[0][4:])
-    if len(lines) - 1 != dim:
-        raise ValueError(f"expected {dim} matrix rows, got {len(lines) - 1}")
+def read_dim(line: str, at: int) -> int:
+    """The 2^k of the 'dim=<2^k>' header ``line``, line ``at`` of its file."""
+    try:
+        if not line.startswith("dim="):
+            raise ValueError
+        dim = int(line[4:])
+        if dim < 1 or dim & (dim - 1):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"line {at}: expected a 'dim=<2^k>' header, got {line!r}") from None
+    return dim
+
+
+def parse_density_matrix(text: str, first_line: int = 1) -> np.ndarray:
+    """Inverse of format_density_matrix; blank lines are skipped, and an
+    error names its line, counting the first as ``first_line``."""
+    lines = [(at, ln.strip()) for at, ln in enumerate(text.splitlines(), start=first_line)
+             if ln.strip()]
+    (at, header), *rows = lines or [(first_line, "")]
+    dim = read_dim(header, at)
+    if len(rows) != dim:
+        raise ValueError(f"line {at}: expected {dim} matrix rows, got {len(rows)}")
     rho = np.zeros((dim, dim), dtype=complex)
-    for i, ln in enumerate(lines[1:]):
+    for i, (at, ln) in enumerate(rows):
         tokens = ln.split()
         if len(tokens) != dim:
-            raise ValueError(f"row {i}: expected {dim} entries, got {len(tokens)}")
-        rho[i] = [complex(t) for t in tokens]
+            raise ValueError(f"line {at}: expected {dim} entries, got {len(tokens)}")
+        try:
+            rho[i] = [complex(t) for t in tokens]
+        except ValueError:
+            raise ValueError(f"line {at}: bad matrix entry in {ln!r}") from None
     return rho

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stabdet
 from stabdet.cli import main
@@ -16,15 +18,17 @@ from stabdet.determination import (
     forcing_chain_mixed,
     forcing_chain_pure,
     format_rdm_file,
+    parse_rdm_file,
 )
-from stabdet.graph_state import Graph, canonical_generators, format_graph_file
+from stabdet.graph_state import Graph, canonical_generators, format_graph_file, parse_graph_file
 from stabdet.stabilizer import (
     density_matrix,
     format_generator_file,
     parse_density_matrix,
+    parse_generator_file,
     GeneratorSet,
 )
-from stabdet.f2_pauli import support
+from stabdet.f2_pauli import DENSE_MATRIX_CAP, support
 
 from conftest import edited
 
@@ -193,6 +197,59 @@ def test_check_unread_block_inconsistent(p4_file, tmp_path, capsys):
         assert "status=Inconsistent" in out
 
 
+def test_check_decides_beyond_the_dense_cap(tmp_path, capsys):
+    # A Determined verdict builds no 2^n array: a 12-vertex self-check at
+    # --cap 12 reports its 4^12/2-odd steps; at 13 vertices the last step,
+    # which only a 2^n array renders, is left out.
+    for n in (12, 13):
+        path = tmp_path / f"p{n}.graph"
+        path.write_text(format_graph_file(Graph.path(n)))
+        assert main(["check", str(path), "--cap", str(n), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "Determined"
+        assert payload["steps"] == 2 ** n * (2 ** n + 1) // 2
+        assert main(["check", str(path), "--cap", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert f"  forcing steps: {payload['steps']}\n" in out
+        assert ("last step" in out) == (n == 12)
+
+
+@pytest.mark.parametrize("text, complaint", [
+    ("omega: 0,1\ndim=x\n", "line 2: expected a 'dim=<2^k>' header, got 'dim=x'"),
+    ("omega: 0,1\ndim=-1\n", "line 2: expected a 'dim=<2^k>' header, got 'dim=-1'"),
+    ("omega: 0,1\n\ndim=4\n1 0 0 0\n0 0 0 0\n0 0 q 0\n0 0 0 0\n",
+     "line 6: bad matrix entry in '0 0 q 0'"),
+    ("omega: 0,1\ndim=4\n1 0 0 0\n", "line 2: expected 4 matrix rows, got 1"),
+    ("omega: 0,1\ndim=2\n1 0\n0 0\n", "line 2: omega [0, 1] needs dim=4, got dim=2"),
+    ("omega: 0,7\ndim=4\n",
+     "line 1: bad index list 'omega: 0,7' (index out of range for 4 qubits: [0, 7])"),
+])
+def test_constraint_file_errors_name_their_line(text, complaint, p4_file, tmp_path, capsys):
+    rdm_path = tmp_path / "bad.rdm"
+    rdm_path.write_text(text)
+    assert main(["check", p4_file, "--rdm", str(rdm_path)]) == 2
+    assert capsys.readouterr().err == f"error: {complaint}\n"
+
+
+_FILE_TEXT = st.lists(st.one_of(
+    st.sampled_from(["omega: 0", "omega: 0,1", "omega: 1,0", "omega:", "dim=1", "dim=2",
+                     "dim=4", "dim=0", "dim=-2", "dim=x", "0.5+0j 0", "0.5 0", "1 0 0 0",
+                     "nan 0", "1e999j 0", "2", "0 1", "1 1", "XZ", "-ZX", "+", "", " "]),
+    st.text(alphabet="0123456789 ,:=+-.jeXYZIomegadimn\t", max_size=12)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE_TEXT)
+def test_text_parsers_raise_only_value_errors(lines):
+    text = "\n".join(lines)
+    for parse in (parse_generator_file, lambda t: parse_graph_file(t, cap=DENSE_MATRIX_CAP),
+                  lambda t: parse_rdm_file(t, 2), parse_density_matrix):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+
+
 def test_non_finite_rdm_is_config_error(p4_file, tmp_path, capsys):
     gens = canonical_generators(Graph.path(4))
     text = format_rdm_file(RdmConstraintSet.from_state(
@@ -328,7 +385,7 @@ def test_cap_flag(p4_file, ghz3_file, tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
     assert main(["check", p4_file, "--cap", "3"]) == 2
     assert "cap" in capsys.readouterr().err
-    # a supplied family runs the same 2^n-sized chains, so the cap holds too
+    # the graph parser keeps its vertex cap with a supplied family too
     gens = canonical_generators(Graph.path(4))
     rdm_path = tmp_path / "exact.rdm"
     rdm_path.write_text(format_rdm_file(RdmConstraintSet.from_state(

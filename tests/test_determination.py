@@ -20,6 +20,7 @@ from stabdet.determination import (
     DETERMINED,
     INCONSISTENT,
     UNDERDETERMINED,
+    RULE_BLOCK_DEVIATION,
     RULE_DIAGONAL,
     RULE_MAGNITUDE,
     RULE_MINOR_CHAIN,
@@ -548,34 +549,36 @@ def test_closing_check_marginal_is_the_closed_form():
 
 
 @pytest.mark.parametrize("family", ["exact", "superset"])
-def test_chains_compute_no_closed_form_marginal(family, monkeypatch):
-    # Nor a dense partial trace: a superset block is read directly.
+def test_chains_compute_one_closed_form_marginal_per_block(family, monkeypatch):
+    # Each block is compared once with the generators' closed-form marginal
+    # on its own qubits, shared by both chains and every tol, and no dense
+    # partial trace is taken: a superset block is read directly.
     import stabdet.determination as determination
-    import stabdet.stabilizer as stabilizer
     omegas = P4_SUPPORTS if family == "exact" else [frozenset(range(4))]
     rdms = RdmConstraintSet(4, {w: stabilizer_rdm(P4_GENS, w) for w in omegas})
     calls = []
 
     def counting(f):
         def counted(*args):
-            calls.append(args)
+            calls.append((f.__name__, args[1]))
             return f(*args)
         return counted
 
-    monkeypatch.setattr(stabilizer, "_subgroup_sum", counting(stabilizer._subgroup_sum))
-    monkeypatch.setattr(determination, "dense_partial_trace",
-                        counting(determination.dense_partial_trace))
-    for chain in (forcing_chain_pure, forcing_chain_mixed):
-        assert chain(P4, P4_GENS, rdms).status == DETERMINED
-    assert calls == []
+    for name in ("_subgroup_sum", "dense_partial_trace"):
+        monkeypatch.setattr(determination, name, counting(getattr(determination, name)))
+    for tol in (1e-12, 1e-9, 1e-3):
+        for chain in (forcing_chain_pure, forcing_chain_mixed):
+            assert chain(P4, P4_GENS, rdms, tol=tol).status == DETERMINED
+    assert calls == [("_subgroup_sum", w) for w in omegas]
 
 
 
 # --- one setup per family, shared by both chains ---
 
 def test_both_chains_share_one_graph_side(monkeypatch):
-    # The group check and the sign vector depend on (gens, graph) alone: one
-    # family's pure and mixed chains compute each once.
+    # The group check depends on (gens, graph) alone: one family's pure and
+    # mixed chains run it once.  A Determined verdict takes no sign vector;
+    # each report takes it once its state is read.
     import stabdet.determination as determination
     forcing_chain_pure(P4, P4_GENS, exact_rdms(P4))  # another family first
     g = Graph.star(4)
@@ -586,20 +589,24 @@ def test_both_chains_share_one_graph_side(monkeypatch):
             calls[name] += 1
             return f(*args)
         monkeypatch.setattr(determination, name, counted)
-    assert forcing_chain_pure(g, gens, rdms).status == DETERMINED
-    assert forcing_chain_mixed(g, gens, rdms).status == DETERMINED
+    pure, mixed = (chain(g, gens, rdms) for chain in (forcing_chain_pure, forcing_chain_mixed))
+    assert pure.status == mixed.status == DETERMINED
+    assert calls == Counter({"_check_graph_group": 1})
+    assert np.max(np.abs(mixed.state - density_matrix(gens))) < 1e-12
+    assert mixed.state is mixed.state
     assert calls == Counter({"_check_graph_group": 1, "sign_vector": 1})
 
 
 def test_one_setup_per_family_across_chains_and_tols(monkeypatch):
     # tol is read only by the verdict: one family through both chains at
-    # three tolerances checks the group, takes the signs and tabulates each
-    # block once, and every call still returns a fresh report.
+    # three tolerances checks the group and takes each block's closed-form
+    # marginal once, the failing walks share one sign vector, and every call
+    # still returns a fresh report.
     import stabdet.determination as determination
     calls = Counter()
-    for name in ("_check_graph_group", "sign_vector", "_table"):
+    for name in ("_check_graph_group", "sign_vector", "_subgroup_sum"):
         def counted(*args, f=getattr(determination, name), name=name):
-            calls[args[2] if name == "_table" else name] += 1
+            calls[args[1] if name == "_subgroup_sum" else name] += 1
             return f(*args)
         monkeypatch.setattr(determination, name, counted)
     rdms = edited(exact_rdms(P4), frozenset({0, 1}), lambda m: _bump(m, 0, 1, 1e-6))
@@ -658,18 +665,106 @@ def test_graph_side_is_keyed_by_the_graph_too():
 
 
 def test_setup_is_read_only_and_keeps_no_marginal():
-    # The setup holds the family's own blocks, one float per block and only
-    # 1-D read-only arrays of its own, so it can hold no state marginal.
+    # The setup holds the family's own blocks, one float per block and no
+    # array of its own until a walk: then the signs and the forcing order,
+    # 1-D and read-only, so it can hold no state marginal.
     rdms = edited(exact_rdms(P4), frozenset({1, 2, 3}), lambda m: _bump(m, 0, 0))
-    assert forcing_chain_mixed(P4, P4_GENS, rdms).status == INCONSISTENT
     setup = rdms._setup(P4, P4_GENS)
     assert setup.blocks is rdms.constraints
     assert list(setup.worst) == P4_SUPPORTS
     assert all(type(dev) is float for dev in setup.worst.values())
-    own = [a for a in vars(setup).values() if isinstance(a, np.ndarray)]
-    assert len(own) == 3
-    assert all(a.ndim == 1 and not a.flags.writeable for a in own)
+    assert not [a for a in vars(setup).values() if isinstance(a, (np.ndarray, tuple))]
+    assert forcing_chain_mixed(P4, P4_GENS, rdms).status == INCONSISTENT
+    assert rdms._setup(P4, P4_GENS) is setup and {"signs", "order"} <= vars(setup).keys()
+    own = [setup.signs, *setup.order]
+    assert all(a.ndim == 1 and len(a) == 16 and not a.flags.writeable for a in own)
     assert not any(a.flags.writeable for a in rdms.constraints.values())
+
+
+def _closed_form_family(g):
+    gens = canonical_generators(g)
+    return gens, RdmConstraintSet(g.n, {support(m): stabilizer_rdm(gens, support(m))
+                                        for m in gens.generators})
+
+
+def test_large_exact_family_touches_no_dense_array(monkeypatch):
+    # A Determined verdict reads only the blocks: at n = 1000 both chains
+    # decide in poly(n), with no sign vector, and the log counts its
+    # 2^1000-odd steps without building one.
+    import stabdet.determination as determination
+    g = Graph.path(1000)
+    gens, rdms = _closed_form_family(g)
+    calls = Counter()
+
+    def no_signs(*args):
+        calls["sign_vector"] += 1
+        raise AssertionError("sign_vector called")
+    monkeypatch.setattr(determination, "sign_vector", no_signs)
+    tracemalloc.start()
+    try:
+        reports = [chain(g, gens, rdms) for chain in (forcing_chain_pure, forcing_chain_mixed)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in reports] == [DETERMINED, DETERMINED]
+    assert [r.max_residual for r in reports] == [0.0, 0.0]
+    assert reports[0].forcing_log.steps == 2 ** 1000
+    assert reports[1].forcing_log.steps == 2 ** 1000 * (2 ** 1000 + 1) // 2
+    assert peak < 10 * 2 ** 20
+    assert not calls
+    for report in reports:
+        with pytest.raises(ValueError, match="dense rendering cap exceeded"):
+            report.state
+
+
+def test_large_failing_family_names_its_block_without_a_walk(monkeypatch):
+    # Above DENSE_VECTOR_CAP qubits no chain is walked: the report names the
+    # first failing block and its largest deviation.
+    import stabdet.determination as determination
+    g = Graph.path(30)
+    gens, rdms = _closed_form_family(g)
+    rdms = edited(rdms, frozenset({4, 5, 6}), lambda m: _bump(m, 1, 2, 0.05))
+    for name in ("sign_vector", "_forced_deviations", "_deviations"):
+        monkeypatch.setattr(determination, name, lambda *args: pytest.fail("walked"))
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        report = chain(g, gens, rdms)
+        assert report.status == INCONSISTENT and report.state is None
+        assert list(report.forcing_log) == [ForcingStep((5,), RULE_BLOCK_DEVIATION, 5)]
+        assert report.max_residual == 0.05
+        assert report.message == ("constraint on the support of generator 5 deviates by "
+                                  "0.05; no forcing chain is walked above 12 qubits")
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 12])
+def test_state_is_built_on_read(n):
+    # The state of a Determined report is the graph state's vector (pure)
+    # and its outer product (mixed), the latter checked up to n = 8 here, as
+    # it takes 16 * 4^n bytes.
+    g = random_graph(n, np.random.default_rng(n))
+    gens, rdms = _closed_form_family(g)
+    vector = state_vector(g)
+    assert np.array_equal(forcing_chain_pure(g, gens, rdms).state, vector)
+    if n <= 8:
+        rho = forcing_chain_mixed(g, gens, rdms).state
+        assert np.max(np.abs(rho - np.outer(vector, vector.conj()))) < 1e-15
+
+
+def test_log_counts_steps_beyond_len():
+    # len() is a C ssize_t; steps is an int, so a log past 2^63 - 1 steps
+    # still answers truth, indexing, counts and repr.
+    from stabdet.determination import ForcingLog, _Run
+    steps = 4 ** 40 // 2
+    log = ForcingLog([_Run(RULE_MINOR_COMPLETION, steps, lambda k: ForcingStep((k,), RULE_MINOR_COMPLETION))])
+    assert log.steps == steps and log
+    assert log[-1] == ForcingStep((steps - 1,), RULE_MINOR_COMPLETION)
+    assert log[0].indices == (0,)
+    assert log.counts() == {RULE_MINOR_COMPLETION: steps}
+    assert repr(log) == f"ForcingLog({steps} steps, {{'{RULE_MINOR_COMPLETION}': {steps}}})"
+    with pytest.raises(OverflowError):
+        len(log)
+    with pytest.raises(IndexError):
+        log[steps]
+    assert not ForcingLog() and ForcingLog().steps == 0
 
 
 def test_a_dropped_family_leaves_nothing_behind():

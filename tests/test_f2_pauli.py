@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from stabdet.f2_pauli import (
     PHASES,
+    PauliOperator,
     commutes,
     dense_matrix,
     f2_rank,
     format_pauli,
     from_binary,
-    identity,
     multiply,
     parse_pauli,
     restrict,
@@ -38,7 +38,7 @@ def test_to_binary_zx():
 
 
 def test_to_binary_identity():
-    assert to_binary(identity(3)) == ((0, 0, 0), (0, 0, 0))
+    assert to_binary(PauliOperator(0, 0, 0, 3)) == ((0, 0, 0), (0, 0, 0))
 
 
 def test_to_binary_discards_phase():
@@ -69,7 +69,7 @@ def test_multiply_xx_zz():
 
 def test_multiply_identity():
     m = parse_pauli("-XYZ")
-    assert multiply(m, identity(3)) == m
+    assert multiply(m, PauliOperator(0, 0, 0, 3)) == m
 
 
 def test_multiply_zzi_izz_dense_oracle():
@@ -134,7 +134,7 @@ def test_commutes_random_n4_dense_oracle():
 
 def test_support_examples():
     assert support(parse_pauli("XZII")) == {0, 1}
-    assert support(identity(5)) == frozenset()
+    assert support(PauliOperator(0, 0, 0, 5)) == frozenset()
     assert support(parse_pauli("ZXZI")) == {0, 1, 2}
 
 
@@ -231,7 +231,7 @@ def test_row_entries_match_the_kronecker_product():
 
 def test_dense_cap():
     with pytest.raises(ValueError):
-        dense_matrix(identity(11))
+        dense_matrix(PauliOperator(0, 0, 0, 11))
 
 
 # --- GF(2) linear algebra ---
