@@ -194,16 +194,13 @@ def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
 
 
 @cache
-def _basis(n: int) -> tuple:
-    """(indices, parities): the 2^n basis indices and the popcount parity of
-    each, as read-only int64 arrays built once per n by doubling."""
+def _parities(n: int) -> np.ndarray:
+    """The popcount parity of each n-bit index, read-only, built once per n."""
     parities = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         parities = np.concatenate((parities, parities ^ 1))
-    indices = np.arange(1 << n, dtype=np.int64)
-    indices.setflags(write=False)
     parities.setflags(write=False)
-    return indices, parities
+    return parities
 
 
 def row_entries(ops: Sequence[tuple], n: int) -> tuple:
@@ -211,11 +208,11 @@ def row_entries(ops: Sequence[tuple], n: int) -> tuple:
     matrices of one or more n-qubit (phase_exp, u, v) rows, one array row per
     operator: row r of an operator holds i^{k - |u&v|} (-1)^{|u&r|} at column
     r ^ v, the parity of u & r read from a table."""
-    rows, parities = _basis(n)
+    rows = np.arange(1 << n, dtype=np.int64)
     c, u, v = np.array([(k - (u & v).bit_count(), u, v) for k, u, v in ops],
                        dtype=np.int64).T[:, :, None]
     # The entry is i^(c + 2 parity); in place, so no third (ops, 2^n) array is made.
-    exps = parities.take(rows & u)
+    exps = _parities(n).take(rows & u)
     exps <<= 1
     exps += c
     return rows ^ v, _PHASE_VALUES.take(exps, mode="wrap")
