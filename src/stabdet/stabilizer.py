@@ -174,8 +174,9 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     return _subgroup_sum(gens, omega)
 
 
-# Entries per numpy pass of _subgroup_sum: bounds its temporaries to a few MiB.
-_SUM_BLOCK = 1 << 16
+# Entries per numpy pass of _subgroup_sum: bounds its temporaries to well
+# under a MiB, beside the 16 * 4^|omega| bytes of the result.
+_SUM_BLOCK = 1 << 14
 
 
 def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
