@@ -410,9 +410,9 @@ def _report(setup: _FamilySetup, tol: float, stages: list, tail: list,
                 dev, f"{wording} deviates by {dev:.3g} on the support of generator "
                      f"{step.generator}")
         runs.append(run)
+    step = ForcingStep(block, RULE_UNUSED_ENTRY, s)
     return ReconstructionReport(
-        INCONSISTENT, ForcingLog(runs + tail + [_stored(ForcingStep(block, RULE_UNUSED_ENTRY, s))]),
-        worst[w],
+        INCONSISTENT, ForcingLog(runs + tail + [_stored(step)]), worst[w],
         f"constraint on {where} deviates by {worst[w]:.3g} outside the forcing chain")
 
 

@@ -481,8 +481,9 @@ def test_enumerated_states_keep_their_bytes_and_order():
     # Pinned from rendering each (span, sign pattern) as the density_matrix
     # of its signed generator set, one set at a time.
     for n, pin in ((1, "6fc510f672b4d94c"), (2, "b2050a3afa01a7ab"), (3, "efeb22711eedbf96")):
-        digest = hashlib.sha256(b"".join((s + 0).tobytes() for s in enumerate_stabilizer_states(n)))
-        assert digest.hexdigest()[:16] == pin
+        states = enumerate_stabilizer_states(n)
+        digest = hashlib.sha256(b"".join((s + 0).tobytes() for s in states)).hexdigest()
+        assert digest[:16] == pin
 
 
 def test_enumerated_states_are_pure():
