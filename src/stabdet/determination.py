@@ -53,6 +53,7 @@ from .f2_pauli import (
 from .stabilizer import (
     GeneratorSet,
     _all_nontrivial_paulis,
+    _read_only,
     _require_valid,
     _subgroup_sum,
     density_matrix,
@@ -104,7 +105,8 @@ class ForcingLog(Sequence):
     steps from the chain's setup when asked, so the length and the per-rule
     counts come without building any step, and ``log[k]`` builds one.  The
     length is the int ``steps``: ``len`` raises OverflowError beyond
-    sys.maxsize steps, which the mixed chain passes at n = 32.
+    sys.maxsize steps, which the mixed chain passes at n = 32, while
+    iteration, forwards or reversed, never takes it.
     """
 
     def __init__(self, runs: Iterable[_Run] = ()):
@@ -130,6 +132,10 @@ class ForcingLog(Sequence):
     def __iter__(self):
         for run in self._runs:
             yield from map(run.at, range(run.length))
+
+    def __reversed__(self):
+        for run in reversed(self._runs):
+            yield from map(run.at, range(run.length - 1, -1, -1))
 
     def counts(self) -> dict:
         """Steps per rule, rules in log order."""
@@ -236,21 +242,15 @@ def _check_graph_group(g: Graph, gens: GeneratorSet) -> None:
             raise ValueError(f"generator {s} is not an element of the graph's group")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _by_size(w) -> tuple:
     return len(w), sorted(w)
 
 
 def _largest_deviation(gens: GeneratorSet, c: np.ndarray, w: frozenset) -> float:
     """The largest |C - M| for the block C on omega, M the generators'
-    marginal there as ``stabilizer_rdm`` gives it: exact dyadic, and real,
-    as the generators generate the graph's group."""
-    d = _subgroup_sum(gens, w)
-    d -= c
+    marginal there as ``stabilizer_rdm`` gives it, the set's kept array:
+    exact dyadic, and real, as the generators generate the graph's group."""
+    d = _subgroup_sum(gens, w) - c
     return float(np.hypot(d.real, d.imag, out=d.real).max())
 
 
@@ -268,13 +268,14 @@ def _projector(g: Graph) -> np.ndarray:
 
 class _FamilySetup:
     """What both chains read for one family on (graph, generators), built
-    once and kept by the family.  It reads the family's own blocks and keeps
-    no marginal.
+    once and kept by the family.  It reads the family's own blocks and the
+    marginals the generator set keeps, and keeps no marginal.
 
-    Each generator reads the smallest block covering its support; if none
-    covers one, ``missing`` names the first such generator and nothing more
-    is built.  Otherwise each block C on omega keeps only its largest
-    |C - M|, in ``worst``: the read blocks first, in the order first read.
+    Each generator reads the smallest block covering its support, sought
+    among the blocks on its support's lowest qubit; if none covers one,
+    ``missing`` names the first such generator and nothing more is built.
+    Otherwise each block C on omega keeps only its largest |C - M|, in
+    ``worst``: the read blocks first, in the order first read.
     The 2^n arrays, ``signs`` and ``order``, are 1-D, read-only and built on
     first read, by a walk or a read of a step."""
 
@@ -284,8 +285,12 @@ class _FamilySetup:
             raise ValueError("constraint set qubit count does not match the graph")
         self.graph, self.n, self.supports = g, g.n, [support(m) for m in gens.generators]
         self.blocks = rdms.constraints
-        self.reads = [min((w for w in self.blocks if w >= omega), key=_by_size,
-                          default=None) for omega in self.supports]
+        meeting = {}  # qubit -> the blocks on it
+        for w in self.blocks:
+            for j in w:
+                meeting.setdefault(j, []).append(w)
+        self.reads = [min((w for w in meeting.get(min(omega), ()) if w >= omega),
+                          key=_by_size, default=None) for omega in self.supports]
         self.missing = self.reads.index(None) if None in self.reads else None
         if self.missing is not None:
             return

@@ -68,6 +68,22 @@ class GeneratorSet:
         """``_pivoted_form(self)``, built once, valid set or not."""
         return _pivoted_form(self)
 
+    @cached_property
+    def pivots(self) -> dict:
+        """Qubit j -> the mask of the positions in ``rows`` of the rows
+        pivoting on j, at most two: bit i for position i."""
+        n, index = self.n, {}
+        for i, (pivot, _) in enumerate(self.rows):
+            j = n - pivot.bit_length()
+            index[j] = index.get(j, 0) | 1 << i
+        return index
+
+    @cached_property
+    def sums(self) -> dict:
+        """The S_omega sums rendered so far, keyed by frozenset omega: each
+        rendered once by ``_subgroup_sum`` and kept read-only."""
+        return {}
+
     @classmethod
     def from_strings(cls, n: int, strings: Iterable[str]) -> "GeneratorSet":
         gens = tuple(parse_pauli(s) for s in strings)
@@ -152,7 +168,9 @@ def density_matrix(gens: GeneratorSet, cap: int = DENSE_MATRIX_CAP) -> np.ndarra
 
     For l = n this is the rank-1 projector onto the stabilizer state; for
     l < n it is the maximally mixed state on the joint +1 eigenspace, of rank
-    2^{n-l}.
+    2^{n-l}.  The set keeps the matrix: every call returns the same read-only
+    array, the one ``stabilizer_rdm`` gives on all n qubits, so a caller that
+    edits it edits a ``.copy()``.
     """
     if gens.n > cap:
         raise ValueError(f"dense rendering cap exceeded: n={gens.n} > {cap}")
@@ -167,6 +185,9 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     Those elements form the subgroup S_omega, whose k <= |omega| generators
     come from GF(2) elimination on the at most 2|omega| rows of ``gens.rows``
     pivoting in omega: poly(|omega|) + 2^k 4^{|omega|} once the form is built.
+    The set keeps the matrix: every call on the same qubits returns the same
+    read-only array, so a caller that edits it edits a ``.copy()``.  The cap
+    applies to every call, kept matrix or not.
     """
     omega = index_set(omega, gens.n)
     if len(omega) > cap:
@@ -174,18 +195,35 @@ def stabilizer_rdm(gens: GeneratorSet, omega: Iterable[int],
     return _subgroup_sum(gens, omega)
 
 
-# Entries per numpy pass of _subgroup_sum: bounds its temporaries to well
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
+    """2^{-|omega|} times the sum over S_omega of the restrictions to omega,
+    read-only: ``_render_sum``'s, taken once per (set, omega) and kept in
+    ``gens.sums``.  A render that raises keeps nothing."""
+    sums = gens.sums
+    rho = sums.get(omega)
+    if rho is None:
+        rho = sums[omega] = _read_only(_render_sum(gens, omega))
+    return rho
+
+
+# Entries per numpy pass of _render_sum: bounds its temporaries to well
 # under a MiB, beside the 16 * 4^|omega| bytes of the result.
 _SUM_BLOCK = 1 << 14
 
 
-def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
+def _render_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     """2^{-|omega|} times the sum over S_omega of the restrictions to omega.
 
     Everything before the sum acts on (phase_exp, u, v) rows.  An element of
     S_omega is a product of the rows of ``gens.rows`` that pivot in omega, at
-    most 2|omega|, so eliminating their bits outside omega by row products
-    leaves a basis of S_omega, restricted to omega by gathering its bits.
+    most 2|omega|, read through ``gens.pivots`` in their order there, so
+    eliminating their bits outside omega by row products leaves a basis of
+    S_omega, restricted to omega by gathering its bits.
     Eliminating the x-parts of that basis in turn splits it into shifts, with
     independent x-parts, and diagonal elements z, so the sum is
     sum_a a prod_z (I + z) over the products a of the shifts, Gray-walked.
@@ -196,9 +234,14 @@ def _subgroup_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     """
     _require_valid(gens)
     n, m, idx = gens.n, len(omega), sorted(omega)
-    inside = sum(1 << (n - 1 - j) for j in omega)
-    outside = ((1 << n) - 1) ^ inside
-    pivoting = [row for pivot, row in gens.rows if pivot & inside]
+    outside = ((1 << n) - 1) ^ sum(1 << (n - 1 - j) for j in omega)
+    pivots, at, pivoting = gens.pivots, 0, []
+    for j in omega:
+        at |= pivots.get(j, 0)
+    while at:  # the rows at the set bits of at, lowest position first
+        low = at & -at
+        pivoting.append(gens.rows[low.bit_length() - 1][1])
+        at ^= low
     _, members = eliminate(pivoting, combine=row_product,
                            key=lambda r: ((r[1] & outside) << n) | (r[2] & outside))
     basis = [(k, gather_bits(u, idx, n), gather_bits(v, idx, n)) for k, u, v in members]

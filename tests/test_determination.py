@@ -496,6 +496,7 @@ def test_log_indexing_matches_iteration(edit):
         assert len(steps) == len(log)
         assert [log[k] for k in range(len(log))] == steps
         assert [log[-k] for k in range(1, len(log) + 1)] == steps[::-1]
+        assert list(reversed(log)) == steps[::-1]
         assert Counter(step.rule for step in steps) == log.counts()
         for k in (len(log), -len(log) - 1):
             with pytest.raises(IndexError):
@@ -575,6 +576,32 @@ def test_chains_compute_one_closed_form_marginal_per_block(family, monkeypatch):
 
 
 
+def test_a_family_and_its_chains_render_each_marginal_once(monkeypatch):
+    # The family's blocks and the chains' closed-form marginals are the same
+    # (set, omega) sums: the set renders each once, and both chains, every
+    # tol and an edited family on the same set read the kept one.
+    import stabdet.stabilizer as stabilizer
+    rendered = Counter()
+
+    def counting(gens, omega, f=stabilizer._render_sum):
+        rendered[omega] += 1
+        return f(gens, omega)
+
+    monkeypatch.setattr(stabilizer, "_render_sum", counting)
+    g = Graph.star(5)
+    gens = recombine_generators(canonical_generators(g),
+                                random_invertible_f2(5, np.random.default_rng(5)))
+    supports = {support(m) for m in gens.generators}
+    rdms = RdmConstraintSet(5, {w: stabilizer_rdm(gens, w) for w in supports})
+    w = min(supports, key=sorted)
+    for family in (rdms, edited(rdms, w, lambda m: _bump(m, 0, 1, 1e-6))):
+        for tol in (1e-9, 1e-3):
+            for chain in (forcing_chain_pure, forcing_chain_mixed):
+                chain(g, gens, family, tol=tol)
+    assert forcing_chain_mixed(g, gens, rdms).status == DETERMINED
+    assert rendered == Counter({w: 1 for w in supports})
+
+
 # --- one setup per family, shared by both chains ---
 
 def test_both_chains_share_one_graph_side(monkeypatch):
@@ -627,7 +654,7 @@ def test_edits_cannot_reach_a_family():
     # A family copies its blocks into read-only arrays in a read-only
     # mapping, so the setup it keeps stays true to it: neither assignment,
     # an in-place write, nor an edit of the caller's arrays changes a verdict.
-    source = {w: stabilizer_rdm(P4_GENS, w) for w in P4_SUPPORTS}
+    source = {w: stabilizer_rdm(P4_GENS, w).copy() for w in P4_SUPPORTS}
     rdms = RdmConstraintSet(4, source)
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         assert chain(P4, P4_GENS, rdms).status == DETERMINED
@@ -754,6 +781,7 @@ def test_log_counts_steps_beyond_len():
     assert log.steps == steps and log
     assert log[-1] == ForcingStep((steps - 1,), RULE_MINOR_COMPLETION)
     assert log[0].indices == (0,)
+    assert next(reversed(log)) == log[-1]
     assert log.counts() == {RULE_MINOR_COMPLETION: steps}
     assert repr(log) == f"ForcingLog({steps} steps, {{'{RULE_MINOR_COMPLETION}': {steps}}})"
     with pytest.raises(OverflowError):
@@ -761,6 +789,19 @@ def test_log_counts_steps_beyond_len():
     with pytest.raises(IndexError):
         log[steps]
     assert not ForcingLog() and ForcingLog().steps == 0
+
+
+def test_reversed_log_needs_no_len():
+    # Reversed, a log walks its runs from the end: at n = 40 the last step
+    # of either chain needs the 2^40 forcing order, so reversed refuses it
+    # as log[-1] does, where len() would overflow on the mixed chain's log.
+    g = Graph.path(40)
+    gens, rdms = _closed_form_family(g)
+    for chain in (forcing_chain_pure, forcing_chain_mixed):
+        log = chain(g, gens, rdms).forcing_log
+        for last in (lambda: log[-1], lambda: next(reversed(log))):
+            with pytest.raises(ValueError, match="dense rendering cap exceeded: n=40 > 12"):
+                last()
 
 
 def test_a_dropped_family_leaves_nothing_behind():

@@ -171,6 +171,9 @@ def test_every_form_row_owns_its_pivot_and_the_group_is_kept():
             owns_x = v & pivot and not any(h[2] & pivot for h in others)
             owns_z = u & pivot and not any(h[1] & pivot for h in others)
             assert owns_x or owns_z
+        by_qubit = sorted((_pivot_qubit(pivot, n), i) for i, (pivot, _) in enumerate(gens.rows))
+        assert [(j, i) for j, at in sorted(gens.pivots.items())
+                for i in range(len(rows)) if at >> i & 1] == by_qubit
         assert group_key(enumerate_group(GeneratorSet(
             tuple(PauliOperator(*row, n) for row in rows), n))) == \
             group_key(enumerate_group(gens))
@@ -236,6 +239,7 @@ def test_enumeration_cap_holds_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+    assert not gens.sums  # a render that raises keeps nothing
 
 
 def test_enumerate_empty_set():
@@ -328,6 +332,35 @@ def test_subgroup_sums_equal_the_per_element_oracle():
     assert with_y >= 20
     empty = GeneratorSet((), 0)
     assert np.array_equal(density_matrix(empty), subgroup_sum_by_kron(empty, []))
+
+
+def test_marginals_are_kept_read_only():
+    # A set renders each marginal once and hands every caller the same
+    # read-only array, so no caller can change what the next one reads.
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        gens = random_stabilizer_set(n, rng)
+        rho = subgroup_sum_by_kron(gens, range(n))
+        for _ in range(3):
+            size = int(rng.integers(1, n + 1))
+            omega = sorted(rng.choice(n, size=size, replace=False).tolist())
+            got = stabilizer_rdm(gens, omega)
+            assert stabilizer_rdm(gens, omega[::-1]) is got
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 1
+            assert np.array_equal(got, ptrace_by_summation(rho, omega, n))
+        assert density_matrix(gens) is stabilizer_rdm(gens, range(n))
+
+
+def test_cap_holds_for_a_kept_marginal():
+    gens = canonical_generators(Graph.path(4))
+    stabilizer_rdm(gens, [0, 1, 2], cap=3)
+    with pytest.raises(ValueError, match="dense rendering cap exceeded"):
+        stabilizer_rdm(gens, [0, 1, 2], cap=2)
+    density_matrix(gens)
+    with pytest.raises(ValueError, match="dense rendering cap exceeded"):
+        density_matrix(gens, cap=3)
 
 
 def test_density_matrix_memory_stays_bounded():
