@@ -9,11 +9,12 @@ entries force all others by a rank-one completion.  Only a family that misses
 a generator's support yields Underdetermined.  Otherwise each supplied
 block's largest deviation from the generators' closed-form marginal on its
 qubits, the one ``stabilizer_rdm`` gives, decides: the chain is Determined iff
-every one is within tolerance, at poly(n) 4^{|omega|} per block.  Every step's
-check reads a marginal entry, so the stages are walked only when a block
-fails, and only for the generators reading a failing block, to name the first
-step beyond tolerance and its rule; when no step fails, the failing block
-itself is named, and above DENSE_VECTOR_CAP qubits it is named without a
+every one is within tolerance, at poly(n) 4^{|omega|} per block, and at one
+lookup for a block that is that marginal, which the family holds as given.
+Every step's check reads a marginal entry, so the stages are walked only when
+a block fails, and only for the generators reading a failing block, to name
+the first step beyond tolerance and its rule; when no step fails, the failing
+block itself is named, and above DENSE_VECTOR_CAP qubits it is named without a
 walk.  The family is immutable, so what the chains read (the group check and
 block maxima) is built once per family and (graph, generators) and kept by
 the family: both chains and every tolerance share it, and only the verdict is
@@ -168,7 +169,9 @@ class ReconstructionReport:
 class RdmConstraintSet:
     """Mapping from qubit-index subsets to density matrices of matching size.
 
-    Immutable: each block is copied into a read-only complex array and the
+    Immutable: a block that is a read-only complex128 ndarray owning its
+    memory, as ``stabilizer_rdm`` returns, is held as given; any other is
+    copied into one.  Every block's shape and entries are checked, and the
     blocks are kept in a read-only mapping, so the family can keep the
     chains' setup, which reads the blocks, once it is built."""
 
@@ -181,13 +184,15 @@ class RdmConstraintSet:
             key = index_set(omega, self.n)
             if key in blocks:
                 raise ValueError(f"constraint on {sorted(key)} is given twice")
-            rho = np.array(rho, dtype=complex)
+            if not (type(rho) is np.ndarray and rho.dtype == complex
+                    and rho.flags.owndata and not rho.flags.writeable):
+                rho = _read_only(np.array(rho, dtype=complex))
             dim = 1 << len(key)
             if rho.shape != (dim, dim):
                 raise ValueError(f"constraint on {sorted(key)} must be {dim}x{dim}")
             if not np.all(np.isfinite(rho)):
                 raise ValueError(f"constraint on {sorted(key)} has a non-finite entry")
-            blocks[key] = _read_only(rho)
+            blocks[key] = rho
         object.__setattr__(self, "constraints", MappingProxyType(blocks))
 
     @classmethod
@@ -196,15 +201,14 @@ class RdmConstraintSet:
 
     def _setup(self, g: Graph, gens: GeneratorSet) -> "_FamilySetup":
         """Both chains' setup on (g, gens), built on first use.  The family
-        keeps the last pair's, keyed by adjacency bytes as Graph is not
-        hashable; the old one goes before a new one is built, and a failed
-        check stores none."""
-        setups = vars(self).setdefault("_setups", {})
-        key = (gens, g.theta.tobytes())
-        if key not in setups:
-            setups.clear()
-            setups[key] = _FamilySetup(g, gens, self)
-        return setups[key]
+        keeps the last pair's, found again by equal generators and adjacency;
+        the old one goes before a new one is built, and a failed check
+        stores none."""
+        setup = vars(self).get("_kept_setup")
+        if setup is None or setup.gens != gens or setup.graph != g:
+            vars(self).pop("_kept_setup", None)
+            setup = vars(self)["_kept_setup"] = _FamilySetup(g, gens, self)
+        return setup
 
 
 def dense_partial_trace(rho: np.ndarray, keep: Iterable[int]) -> np.ndarray:
@@ -249,8 +253,12 @@ def _by_size(w) -> tuple:
 def _largest_deviation(gens: GeneratorSet, c: np.ndarray, w: frozenset) -> float:
     """The largest |C - M| for the block C on omega, M the generators'
     marginal there as ``stabilizer_rdm`` gives it, the set's kept array:
-    exact dyadic, and real, as the generators generate the graph's group."""
-    d = _subgroup_sum(gens, w) - c
+    exact dyadic, and real, as the generators generate the graph's group.
+    A block that is M itself deviates by 0.0, with no pass over it."""
+    m = _subgroup_sum(gens, w)
+    if m is c:
+        return 0.0
+    d = m - c
     return float(np.hypot(d.real, d.imag, out=d.real).max())
 
 
@@ -283,7 +291,8 @@ class _FamilySetup:
         _check_graph_group(g, gens)
         if rdms.n != g.n:
             raise ValueError("constraint set qubit count does not match the graph")
-        self.graph, self.n, self.supports = g, g.n, [support(m) for m in gens.generators]
+        self.graph, self.gens, self.n = g, gens, g.n
+        self.supports = [support(m) for m in gens.generators]
         self.blocks = rdms.constraints
         meeting = {}  # qubit -> the blocks on it
         for w in self.blocks:
@@ -701,7 +710,8 @@ def parse_rdm_file(text: str, n: int) -> RdmConstraintSet:
         if dim != 1 << len(omega):
             raise ValueError(f"line {i + 1}: omega {sorted(omega)} needs "
                              f"dim={1 << len(omega)}, got dim={dim}")
-        constraints[omega] = parse_density_matrix("\n".join(lines[i:i + dim + 1]), i + 1)
+        constraints[omega] = _read_only(
+            parse_density_matrix("\n".join(lines[i:i + dim + 1]), i + 1))
         i += dim + 1
     return RdmConstraintSet(n, constraints)
 

@@ -194,13 +194,14 @@ def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
 
 
 @cache
-def _parities(n: int) -> np.ndarray:
-    """The popcount parity of each n-bit index, read-only, built once per n."""
-    parities = np.zeros(1, dtype=np.int64)
+def _sign_exponents(n: int) -> np.ndarray:
+    """Twice the popcount parity of each n-bit index, the exponent of i in
+    its sign (-1)^{|r|}: read-only, built once per n."""
+    signs = np.zeros(1, dtype=np.int64)
     for _ in range(n):
-        parities = np.concatenate((parities, parities ^ 1))
-    parities.setflags(write=False)
-    return parities
+        signs = np.concatenate((signs, signs ^ 2))
+    signs.setflags(write=False)
+    return signs
 
 
 def row_entries(ops: Sequence[tuple], n: int) -> tuple:
@@ -208,14 +209,18 @@ def row_entries(ops: Sequence[tuple], n: int) -> tuple:
     matrices of one or more n-qubit (phase_exp, u, v) rows, one array row per
     operator: row r of an operator holds i^{k - |u&v|} (-1)^{|u&r|} at column
     r ^ v, the parity of u & r read from a table."""
+    return _phased_entries([(k - (u & v).bit_count(), u, v) for k, u, v in ops], n)
+
+
+def _phased_entries(ops: Sequence[tuple], n: int, phases: np.ndarray = _PHASE_VALUES) -> tuple:
+    """``row_entries`` of operators given as (c, u, v), the operator
+    i^c Z^u X^v: row r holds phases[(c + 2 |u&r|) mod 4] at column r ^ v."""
     rows = np.arange(1 << n, dtype=np.int64)
-    c, u, v = np.array([(k - (u & v).bit_count(), u, v) for k, u, v in ops],
-                       dtype=np.int64).T[:, :, None]
+    c, u, v = np.array(ops, dtype=np.int64).T[:, :, None]
     # The entry is i^(c + 2 parity); in place, so no third (ops, 2^n) array is made.
-    exps = _parities(n).take(rows & u)
-    exps <<= 1
+    exps = _sign_exponents(n).take(rows & u)
     exps += c
-    return rows ^ v, _PHASE_VALUES.take(exps, mode="wrap")
+    return rows ^ v, phases.take(exps, mode="wrap")
 
 
 def dense_matrix(op: PauliOperator) -> np.ndarray:

@@ -24,8 +24,10 @@ from .f2_pauli import (
     PSD_TOL,
     STATE_ENUMERATION_CAP,
     TRACE_TOL,
+    _PHASE_VALUES,
     PauliOperator,
     _pauli,
+    _phased_entries,
     commutes,
     eliminate,
     format_pauli,
@@ -143,24 +145,11 @@ def _pivoted_form(gens: GeneratorSet) -> tuple:
 
 
 def enumerate_group(gens: GeneratorSet) -> list:
-    """All 2^l products of the generators, phases exact.
-
-    The exponent vectors are walked in Gray-code order so that each element is
-    a single multiplication away from its predecessor; the output order is
-    implementation-defined and results should be compared as sets.
-    """
+    """All 2^l products of the generators, phases exact; element i is the
+    product of the generators j at the set bits 2^j of i."""
     _require_valid(gens)
-    return [_pauli(*row, gens.n) for row in _gray_walk([g.row for g in gens.generators])]
-
-
-def _gray_walk(rows: Sequence[tuple]) -> list:
-    """enumerate_group's walk on (phase_exp, u, v) rows of a valid set."""
-    if len(rows) > ENUMERATION_CAP:
-        raise ValueError(f"enumeration cap exceeded: l={len(rows)} > {ENUMERATION_CAP}")
-    out = [(0, 0, 0)]
-    for k in range(1, 1 << len(rows)):  # Gray codes k-1, k differ at k's low bit
-        out.append(row_product(out[-1], rows[(k & -k).bit_length() - 1]))
-    return out
+    return [_pauli((c + (u & v).bit_count()) & 3, u, v, gens.n)
+            for c, u, v in _products([g.row for g in gens.generators])]
 
 
 def density_matrix(gens: GeneratorSet, cap: int = DENSE_MATRIX_CAP) -> np.ndarray:
@@ -226,11 +215,12 @@ def _render_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
     S_omega, restricted to omega by gathering its bits.
     Eliminating the x-parts of that basis in turn splits it into shifts, with
     independent x-parts, and diagonal elements z, so the sum is
-    sum_a a prod_z (I + z) over the products a of the shifts, Gray-walked.
-    Distinct a have distinct x-parts, so each fills its own entries
-    rho[r, r ^ v_a] = a[r, r ^ v_a] d[r ^ v_a], d being the diagonal of
-    prod_z (I + z) / 2^{|omega|}; every value is a power of two times 1, i,
-    -1 or -i, so the sum is exact.
+    sum_a a prod_z (I + z) over the products a of the shifts, composed on
+    ints by ``_products``.  Distinct a have distinct x-parts, so each fills
+    its own entries rho[r, r ^ v_a] = a[r, r ^ v_a] d[r ^ v_a] / 2^{|omega|},
+    d being the diagonal of prod_z (I + z), passed over only if there is a z,
+    and 2^{-|omega|} folded into the phase table; every value is a power of
+    two times 1, i, -1 or -i, so the sum is exact.
     """
     _require_valid(gens)
     n, m, idx = gens.n, len(omega), sorted(omega)
@@ -246,20 +236,35 @@ def _render_sum(gens: GeneratorSet, omega: frozenset) -> np.ndarray:
                            key=lambda r: ((r[1] & outside) << n) | (r[2] & outside))
     basis = [(k, gather_bits(u, idx, n), gather_bits(v, idx, n)) for k, u, v in members]
     shifts, diagonal = eliminate(basis, combine=row_product, key=lambda r: r[2])
-    elements = _gray_walk(tuple(shifts.values()))
+    elements = _products(list(shifts.values()))
     dim = 1 << m
-    d = 1.0 / dim
+    phases = _PHASE_VALUES / dim
     if diagonal:  # row r of each z holds +-1 at column r
-        d = np.prod(1 + row_entries(diagonal, m)[1].real, axis=0) / dim
+        d = np.prod(1 + row_entries(diagonal, m)[1].real, axis=0)
     rows = np.arange(dim)
     rho = np.zeros((dim, dim), dtype=complex)
     block = max(1, _SUM_BLOCK // dim)
     for start in range(0, len(elements), block):
-        cols, values = row_entries(elements[start:start + block], m)
-        values *= d  # a d = d a, so row r's entry takes d[r]
-        values += 0  # turns the -0.0 parts of products into +0.0, as a sum would
+        cols, values = _phased_entries(elements[start:start + block], m, phases)
+        if diagonal:
+            values *= d  # a d = d a, so row r's entry takes d[r]
+            values += 0  # turns the -0.0 parts of products into +0.0, as a sum would
         rho[rows, cols] = values
     return rho
+
+
+def _products(rows: Sequence[tuple]) -> list:
+    """The 2^l products of (phase_exp, u, v) rows as (c, u, v), the operator
+    i^c Z^u X^v, c = k - |u&v| as in ``row_entries``: element i multiplies,
+    in order, the rows j at the set bits 2^j of i.  Moving X^{v_a} past
+    Z^{u_b} gives c_ab = c_a + c_b + 2 |u_b & v_a|, on ints alone."""
+    if len(rows) > ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap exceeded: l={len(rows)} > {ENUMERATION_CAP}")
+    out = [(0, 0, 0)]
+    for k, u, v in rows:
+        c = k - (u & v).bit_count()
+        out += [((ca + c + 2 * (u & va).bit_count()) & 3, ua ^ u, va ^ v) for ca, ua, va in out]
+    return out
 
 
 def recombine_generators(gens: GeneratorSet, r_matrix) -> GeneratorSet:
@@ -344,10 +349,7 @@ def enumerate_stabilizer_states(n: int) -> list:
         hadamard = np.kron(hadamard, [[1, 1], [1, -1]])
     states = []
     for gens in generator_tuples:
-        elements = [(0, 0, 0)]
-        for g in gens:
-            elements += [row_product(e, g.row) for e in elements]
-        cols, values = row_entries(elements, n)
+        cols, values = _phased_entries(_products([g.row for g in gens]), n)
         rendered = np.zeros((dim, dim, dim), dtype=complex)
         rendered[index[:, None], index, cols] = values
         states.extend((hadamard @ rendered.reshape(dim, -1)).reshape(dim, dim, dim) / dim + 0)

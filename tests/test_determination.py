@@ -196,8 +196,11 @@ def test_pure_chain_rejects_non_group_generators():
 
 
 def test_non_finite_input_is_rejected():
-    with pytest.raises(ValueError, match="non-finite"):
-        RdmConstraintSet(4, {frozenset({0, 1}): np.full((4, 4), np.nan + 0j)})
+    held = np.full((4, 4), np.nan + 0j)
+    held.setflags(write=False)  # a family holds it as given, checked all the same
+    for block in (np.full((4, 4), np.nan + 0j), held):
+        with pytest.raises(ValueError, match="non-finite"):
+            RdmConstraintSet(4, {frozenset({0, 1}): block})
     rdms = exact_rdms(P4)
     for chain in (forcing_chain_pure, forcing_chain_mixed):
         for tol in (np.nan, np.inf, 0.0):
@@ -676,6 +679,56 @@ def test_edits_cannot_reach_a_family():
     assert np.array_equal(rdms.constraints[key], stabilizer_rdm(P4_GENS, key))
 
 
+def test_a_family_holds_the_kept_marginals_themselves(monkeypatch):
+    # stabilizer_rdm returns the set's kept marginal, read-only and owning
+    # its memory: a family holds that very array, and its setup knows such a
+    # block deviates by exactly 0.0 with no M - C pass.  A .copy() of it is
+    # a block like any other: copied, and compared in full, to the same 0.0.
+    kept = {w: stabilizer_rdm(P4_GENS, w) for w in P4_SUPPORTS}
+    shared = RdmConstraintSet(4, kept)
+    copied = RdmConstraintSet(4, {w: m.copy() for w, m in kept.items()})
+    assert all(shared.constraints[w] is m for w, m in kept.items())
+    assert not any(np.shares_memory(copied.constraints[w], m) for w, m in kept.items())
+    passes = []
+
+    def counted(*args, f=np.hypot, **kwargs):
+        passes.append(args[0].shape)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(np, "hypot", counted)
+    assert list(shared._setup(P4, P4_GENS).worst.values()) == [0.0] * 4
+    assert passes == []
+    assert list(copied._setup(P4, P4_GENS).worst.values()) == [0.0] * 4
+    assert sorted(passes) == sorted(m.shape for m in kept.values())
+
+
+def _read_only_copy(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("block", [
+    lambda m: m.copy(),
+    lambda m: m[:],
+    lambda m: np.broadcast_to(m, m.shape),
+    lambda m: _read_only_copy(m.astype(np.complex64)),
+    lambda m: _read_only_copy(m.real),
+    lambda m: m.tolist(),
+], ids=["writeable", "view", "broadcast", "complex64", "float", "list"])
+def test_other_blocks_are_copied(block):
+    # Only a read-only complex128 ndarray owning its memory is held as given:
+    # a writeable array, a read-only view and any other dtype or type are
+    # copied into a new read-only complex array, equal to the marginal.
+    w = frozenset({0, 1})
+    m = stabilizer_rdm(P4_GENS, w)
+    given = block(m)
+    held = RdmConstraintSet(4, {w: given}).constraints[w]
+    assert held is not given and held is not m
+    assert held.dtype == complex and held.flags.owndata and not held.flags.writeable
+    assert not np.shares_memory(held, m) and np.array_equal(held, m)
+
+
 def test_duplicate_blocks_are_rejected():
     block = np.eye(4) / 4
     with pytest.raises(ValueError, match=r"constraint on \[0, 1\] is given twice"):
@@ -804,16 +857,14 @@ def test_reversed_log_needs_no_len():
                 last()
 
 
-def test_a_dropped_family_leaves_nothing_behind():
-    # The setup lives on the family: held with one full-window block, the
-    # family takes its 16 MiB complex copy and little more, and once the
-    # caller drops it, nothing is left.
-    g = Graph.path(10)
-    gens = canonical_generators(g)
-    window = stabilizer_rdm(gens, range(10))
+def _held_by_a_family(g, gens, blocks):
+    """(statuses of both chains, bytes the family holds, bytes left once it
+    is dropped), traced from just before it is built; blocks is emptied, so
+    the family's references are the only ones the caller leaves."""
     tracemalloc.start()
     try:
-        rdms = RdmConstraintSet(10, {frozenset(range(10)): window})
+        rdms = RdmConstraintSet(g.n, blocks)
+        blocks.clear()
         statuses = [chain(g, gens, rdms).status
                     for chain in (forcing_chain_pure, forcing_chain_mixed)]
         held = tracemalloc.get_traced_memory()[0]
@@ -821,8 +872,37 @@ def test_a_dropped_family_leaves_nothing_behind():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return statuses, held, retained
+
+
+def test_a_dropped_family_leaves_nothing_behind():
+    # The setup lives on the family: held with the set's own full-window
+    # marginal, the family holds that very array and well under a MiB more,
+    # while a writeable copy of it costs the family its own 16 MiB copy.
+    # Once the caller drops the family, nothing is left.
+    g = Graph.path(10)
+    gens = canonical_generators(g)
+    window = stabilizer_rdm(gens, range(10))
+    for block, least, most in ((window, 0, 0.1), (window.copy(), 16, 16.5)):
+        statuses, held, retained = _held_by_a_family(g, gens, {frozenset(range(10)): block})
+        assert statuses == [DETERMINED, DETERMINED]
+        assert least * 2 ** 20 <= held <= most * 2 ** 20
+        assert retained < 0.1 * 2 ** 20
+
+
+def test_a_large_family_holds_the_kept_marginals_once():
+    # The exact 1000-vertex path family built from stabilizer_rdm holds the
+    # set's kept marginals, about 1 MiB of blocks, and no copy of them: with
+    # the caller's dict dropped, the family and its setup take less than
+    # the blocks' bytes, which copies alone would take.
+    g = Graph.path(1000)
+    gens = canonical_generators(g)
+    blocks = {support(m): stabilizer_rdm(gens, support(m)) for m in gens.generators}
+    size = sum(m.nbytes for m in blocks.values())
+    statuses, held, retained = _held_by_a_family(g, gens, blocks)
     assert statuses == [DETERMINED, DETERMINED]
-    assert held <= 16.5 * 2 ** 20
+    assert size > 0.95 * 2 ** 20
+    assert held < size
     assert retained < 0.1 * 2 ** 20
 
 
@@ -929,6 +1009,23 @@ def test_rdm_file_round_trip():
     assert set(again.constraints) == set(rdms.constraints)
     for w in rdms.constraints:
         assert np.max(np.abs(again.constraints[w] - rdms.constraints[w])) < 1e-11
+
+
+def test_a_parsed_file_is_held_as_parsed(monkeypatch):
+    # parse_rdm_file marks each parsed block read-only, so the family holds
+    # it as parsed, not a copy beside it.
+    import stabdet.determination as determination
+    parsed = []
+
+    def parsing(*args, f=determination.parse_density_matrix):
+        parsed.append(f(*args))
+        return parsed[-1]
+
+    monkeypatch.setattr(determination, "parse_density_matrix", parsing)
+    rdms = parse_rdm_file(format_rdm_file(exact_rdms(P4)), 4)
+    held = rdms.constraints.values()
+    assert len(parsed) == len(held) == 4
+    assert all(any(block is p for p in parsed) for block in held)
 
 
 def test_rdm_file_rejects_garbage():

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from stabdet.f2_pauli import (
     from_binary,
     multiply,
     parse_pauli,
+    row_product,
     support,
     to_binary,
 )
 from stabdet.stabilizer import (
     GeneratorSet,
+    _products,
     check_density_matrix,
     density_matrix,
     enumerate_group,
@@ -33,14 +36,16 @@ from stabdet.stabilizer import (
     stabilizer_rdm,
     validate,
 )
-from stabdet.graph_state import Graph, canonical_generators
+from stabdet.graph_state import Graph, canonical_generators, sign_vector, state_vector
 from stabdet.determination import dense_partial_trace
 
 from conftest import (
     group_key,
     subgroup_sum_by_kron,
     ptrace_by_summation,
+    random_graph,
     random_invertible_f2,
+    random_pauli,
     random_stabilizer_set,
 )
 
@@ -351,6 +356,57 @@ def test_marginals_are_kept_read_only():
                 got[0, 0] = 1
             assert np.array_equal(got, ptrace_by_summation(rho, omega, n))
         assert density_matrix(gens) is stabilizer_rdm(gens, range(n))
+
+
+def test_multi_pass_graph_state_marginal_is_the_projector():
+    # On all n = 9, 10 qubits the 2^n elements fill 2^n entries each, 4^n /
+    # 2^14 numpy passes: 16 and 64.  The render is exactly the outer product
+    # of the graph state's signs over 2^n, at n = 10 that of state_vector.
+    rng = np.random.default_rng(46)
+    for n in (9, 10):
+        g = random_graph(n, rng)
+        signs = sign_vector(g)
+        rho = density_matrix(canonical_generators(g))
+        assert np.array_equal(rho, np.outer(signs, signs) / (1 << n))
+    vector = state_vector(g)
+    assert np.array_equal(rho, np.outer(vector, vector.conj()))
+
+
+def test_multi_pass_general_form_marginal_equals_the_oracle():
+    # An l < n general-form set whose S_omega on |omega| = 8-9 qubits has
+    # diagonal elements and k shifts filling 2^k 2^|omega| > 2^14 entries,
+    # so the render scales by d in several passes.
+    rng = np.random.default_rng(47)
+    n, cases = 10, 0
+    while cases < 2:
+        gens = GeneratorSet(random_stabilizer_set(n, rng).generators[:9], n)
+        omega = sorted(rng.choice(n, size=int(rng.integers(8, 10)), replace=False).tolist())
+        inside = [m for m in enumerate_group(gens) if support(m) <= set(omega)]
+        shifts = len({m.v for m in inside}).bit_length() - 1
+        if len(inside) == 1 << shifts or shifts + len(omega) <= 14:
+            continue
+        assert np.array_equal(stabilizer_rdm(gens, omega), subgroup_sum_by_kron(gens, omega))
+        cases += 1
+
+
+def test_products_match_row_products():
+    # Element i of _products is the product, in order, of the rows j at the
+    # set bits 2^j of i, as (k - |u&v| mod 4, u, v) of its (k, u, v) row:
+    # for a set's commuting Hermitian rows, and in order for any rows.
+    rng = np.random.default_rng(48)
+    for trial in range(40):
+        n = int(rng.integers(1, 8))
+        if trial % 2:
+            rows = [m.row for m in random_stabilizer_set(n, rng).generators]
+        else:
+            rows = [random_pauli(n, rng).row for _ in range(n)]
+        rows = rows[:int(rng.integers(0, n + 1))]
+        got = _products(rows)
+        assert len(got) == 1 << len(rows)
+        for i, element in enumerate(got):
+            k, u, v = reduce(row_product, (r for j, r in enumerate(rows) if i >> j & 1),
+                             (0, 0, 0))
+            assert element == ((k - (u & v).bit_count()) % 4, u, v)
 
 
 def test_cap_holds_for_a_kept_marginal():
