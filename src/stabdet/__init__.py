@@ -8,12 +8,9 @@ from .f2_pauli import (
     dense_matrix,
     f2_rank,
     format_pauli,
-    from_binary,
     multiply,
     parse_pauli,
-    restrict,
     support,
-    to_binary,
 )
 from .stabilizer import (
     GeneratorSet,

@@ -44,8 +44,6 @@ PSD_TOL = 1e-9
 PHASES = (1, 1j, -1, -1j)  # i**k for k = 0..3
 _PHASE_VALUES = np.array(PHASES) + 0  # + 0: no -0.0 parts
 
-_CHAR_TO_BITS = {"I": (0, 0), "X": (0, 1), "Z": (1, 0), "Y": (1, 1)}
-_BITS_TO_CHAR = {bits: ch for ch, bits in _CHAR_TO_BITS.items()}
 _TO_U, _TO_V = str.maketrans("IXZY", "0011"), str.maketrans("IXZY", "0101")
 _INVALID = str.maketrans("", "", "IXZY")  # keeps only the characters that are not Paulis
 
@@ -116,25 +114,6 @@ def set_positions(x: int, n: int) -> list:
     return out
 
 
-def to_binary(op: PauliOperator) -> tuple:
-    """Return the (u, v) pair of bit tuples of the operator; the phase is discarded."""
-    return tuple(tuple((x >> (op.n - 1 - j)) & 1 for j in range(op.n)) for x in (op.u, op.v))
-
-
-def from_binary(u: Sequence[int], v: Sequence[int], phase: complex = 1) -> PauliOperator:
-    """Build a Pauli operator from its binary parts and an explicit phase."""
-    u, v = [int(b) & 1 for b in u], [int(b) & 1 for b in v]
-    if len(u) != len(v):
-        raise ValueError("z-part and x-part must have equal length")
-    u_mask = v_mask = 0
-    for uj, vj in zip(u, v):
-        u_mask, v_mask = (u_mask << 1) | uj, (v_mask << 1) | vj
-    for k, p in enumerate(PHASES):
-        if phase == p:
-            return PauliOperator(k, u_mask, v_mask, len(u))
-    raise ValueError(f"phase must be one of 1, i, -1, -i, got {phase!r}")
-
-
 def row_product(a: tuple, b: tuple) -> tuple:
     """Exact product of two (phase_exp, u, v) rows.
 
@@ -182,15 +161,6 @@ def index_set(omega: Iterable[int], n: int) -> frozenset:
     if min(omega) < 0 or max(omega) >= n:
         raise ValueError(f"index out of range for {n} qubits: {sorted(omega)}")
     return omega
-
-
-def restrict(op: PauliOperator, omega: Iterable[int]) -> PauliOperator:
-    """Tensor product of the factors at integer positions in omega, ascending, phase kept."""
-    idx = sorted(set(map(_qubit_index, omega)))
-    if idx and (idx[0] < 0 or idx[-1] >= op.n):
-        raise ValueError(f"index out of range for {op.n} qubits: {idx}")
-    return _pauli(op.phase_exp, gather_bits(op.u, idx, op.n),
-                  gather_bits(op.v, idx, op.n), len(idx))
 
 
 @cache
@@ -255,7 +225,8 @@ def format_pauli(op: PauliOperator) -> str:
     if op.phase_exp in (1, 3):
         raise ValueError("imaginary phase has no text form")
     sign = "-" if op.phase_exp == 2 else ""
-    return sign + "".join(_BITS_TO_CHAR[bits] for bits in zip(*to_binary(op)))
+    return sign + "".join("IXZY"[2 * (op.u >> h & 1) + (op.v >> h & 1)]
+                          for h in reversed(range(op.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,12 @@ from stabdet import (
     GeneratorSet,
     Graph,
     LocalCliffordLayer,
+    PauliOperator,
     RdmConstraintSet,
     canonical_generators,
-    enumerate_group,
-    from_binary,
     recombine_generators,
-    to_binary,
 )
-from stabdet.f2_pauli import PHASES, f2_rank, restrict, support
+from stabdet.f2_pauli import f2_rank
 
 # Single-qubit factors of the (u, v) encoding: I, X, Z, Y.
 SINGLE_QUBIT = {
@@ -29,25 +27,51 @@ SINGLE_QUBIT = {
 }
 
 
+def bit(x, j, n):
+    """The bit of qubit j in an n-bit mask, qubit 0 the most significant."""
+    return (x >> (n - 1 - j)) & 1
+
+
+def pauli_factors(op):
+    """The n x 2 x 2 array of a Pauli operator's single-qubit factors, phase left out."""
+    return np.array([SINGLE_QUBIT[bit(op.u, j, op.n), bit(op.v, j, op.n)]
+                     for j in range(op.n)]).reshape(op.n, 2, 2)
+
+
+def kron_on(factors, qubits):
+    """Kronecker product of the 2x2 factors at the given qubits, in order."""
+    m = np.array([[1]], dtype=complex)
+    for j in qubits:
+        m = np.kron(m, factors[j])
+    return m
+
+
 def kron_dense(op):
     """Dense matrix of a Pauli operator as a Kronecker product of 2x2
     factors, qubit 0 leftmost, times its phase."""
-    m = np.array([[1]], dtype=complex)
-    for bits in zip(*to_binary(op)):
-        m = np.kron(m, SINGLE_QUBIT[bits])
-    return op.phase * m
+    return op.phase * kron_on(pauli_factors(op), range(op.n))
 
 
 def subgroup_sum_by_kron(gens, omega):
-    """stabilizer_rdm by its definition, one element at a time: the sum of
-    the dense restrictions to omega of the group elements supported inside
-    omega, divided by 2^|omega|."""
-    omega = sorted(omega)
+    """stabilizer_rdm by its definition, one element at a time: each product
+    of a subset of the generators is multiplied out qubit by qubit as 2x2
+    matrices; the products that are a multiple of I off omega add their
+    Kronecker factors on omega, and the sum is divided by 2^|omega|."""
+    n, omega = gens.n, sorted(omega)
+    # elements[i, j], phases[i]: the factor on qubit j and the phase of the
+    # product of the generators g at the set bits 2^g of i.
+    elements = np.broadcast_to(np.eye(2, dtype=complex), (1, n, 2, 2))
+    phases = np.ones(1, dtype=complex)
+    for m in gens.generators:
+        elements = np.concatenate((elements, elements @ pauli_factors(m)))
+        phases = np.concatenate((phases, phases * m.phase))
+    off = elements[:, [j for j in range(n) if j not in omega]]
+    scalar_off = ~(off[..., 0, 1].any(1) | off[..., 1, 0].any(1)
+                   | (off[..., 0, 0] != off[..., 1, 1]).any(1))
     dim = 1 << len(omega)
     total = np.zeros((dim, dim), dtype=complex)
-    for m in enumerate_group(gens):
-        if support(m) <= set(omega):
-            total += kron_dense(restrict(m, omega))
+    for i in np.flatnonzero(scalar_off):
+        total += phases[i] * off[i, :, 0, 0].prod() * kron_on(elements[i], omega)
     return total / dim
 
 
@@ -126,17 +150,22 @@ def random_stabilizer_set(n, rng):
     for m in gens.generators:
         m = layer.conjugate(m)
         if rng.integers(0, 2):
-            m = from_binary(*to_binary(m), -m.phase)
+            m = PauliOperator((m.phase_exp + 2) % 4, m.u, m.v, n)
         ops.append(m)
     return recombine_generators(GeneratorSet(tuple(ops), n),
                                 random_invertible_f2(n, rng))
 
 
+def from_bits(bits):
+    """The mask whose qubit j holds bits[j], qubit 0 the most significant."""
+    return sum(int(b) << (len(bits) - 1 - j) for j, b in enumerate(bits))
+
+
 def random_pauli(n, rng, real_phase=False):
-    u = tuple(int(b) for b in rng.integers(0, 2, size=n))
-    v = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    u = from_bits(rng.integers(0, 2, size=n))
+    v = from_bits(rng.integers(0, 2, size=n))
     k = int(rng.integers(0, 2)) * 2 if real_phase else int(rng.integers(0, 4))
-    return from_binary(u, v, PHASES[k])
+    return PauliOperator(k, u, v, n)
 
 
 def ptrace_by_summation(rho, keep, n):
@@ -193,4 +222,4 @@ def hermitian_basis(n):
 
 
 def group_key(ops):
-    return frozenset((m.phase_exp,) + to_binary(m) for m in ops)
+    return frozenset(ops)

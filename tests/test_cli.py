@@ -353,9 +353,11 @@ def test_missing_file_is_config_error(capsys):
 
 
 def test_bad_tol_is_config_error(p4_file, capsys):
-    for tol in ("-1", "nan", "inf"):
+    for tol in ("-1", "nan", "inf", "abc"):
         assert main(["check", p4_file, "--tol", tol]) == 2
         assert main(["counterexample", "--tol", tol]) == 2
+        complaint = f"must be a finite positive number, got {tol!r}"
+        assert capsys.readouterr().err.count(complaint) == 2
 
 
 # Options a subcommand never reads are not registered on it.

@@ -116,6 +116,8 @@ def test_partial_trace_rejects_bad_sets():
         dense_partial_trace(np.eye(4) / 4, [])
     with pytest.raises(ValueError):
         dense_partial_trace(np.eye(4) / 4, [2])
+    with pytest.raises(ValueError, match="input must be a square matrix of power-of-two size"):
+        dense_partial_trace(np.eye(3) / 3, [0])
 
 
 @pytest.mark.parametrize("bad", [0.9, "1", None, 1.0])
@@ -193,6 +195,13 @@ def test_pure_chain_missing_support_underdetermined():
 def test_pure_chain_rejects_non_group_generators():
     with pytest.raises(ValueError):
         forcing_chain_pure(P4, canonical_generators(Graph.star(4)), exact_rdms(P4))
+    with pytest.raises(ValueError, match="need a full generating set on the graph's qubit count"):
+        forcing_chain_pure(P4, canonical_generators(Graph.path(3)), exact_rdms(P4))
+    product_state = GeneratorSet.from_strings(4, ["ZIII", "IZII", "IIZI", "IIIZ"])
+    with pytest.raises(ValueError, match="generator 0 has zero x-part; graph-form input required"):
+        forcing_chain_pure(P4, product_state, exact_rdms(P4))
+    with pytest.raises(ValueError, match="constraint set qubit count does not match the graph"):
+        forcing_chain_pure(P4, P4_GENS, RdmConstraintSet(5, exact_rdms(P4).constraints))
 
 
 def test_non_finite_input_is_rejected():
@@ -735,6 +744,11 @@ def test_duplicate_blocks_are_rejected():
         RdmConstraintSet(2, {(0, 1): block, (1, 0): block})
 
 
+def test_blocks_must_match_their_index_set():
+    with pytest.raises(ValueError, match=r"constraint on \[0\] must be 2x2"):
+        RdmConstraintSet(2, {(0,): np.eye(4) / 4})
+
+
 def test_graph_side_is_keyed_by_the_graph_too():
     # The same generators on another graph are checked again, and a failed
     # check is not remembered.
@@ -910,6 +924,11 @@ def test_a_large_family_holds_the_kept_marginals_once():
 
 def test_kernel_single_qubit_is_trivial():
     assert rdm_kernel(1, [{0}]).dimension == 0
+
+
+def test_kernel_cap():
+    with pytest.raises(ValueError, match="kernel analysis capped at n = 6"):
+        rdm_kernel(7, [{0}])
 
 
 def test_kernel_dimension_by_rank_nullity():

@@ -4,61 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabdet.f2_pauli import (
-    PHASES,
     PauliOperator,
     commutes,
     dense_matrix,
     f2_rank,
     format_pauli,
-    from_binary,
     multiply,
     parse_pauli,
-    restrict,
     row_entries,
     support,
-    to_binary,
 )
 
-from conftest import kron_dense, random_pauli
-
-
-def bits(n):
-    return st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
+from conftest import bit, kron_dense, kron_on, pauli_factors, random_pauli
 
 
 def paulis(n):
-    return st.builds(lambda k, u, v: from_binary(u, v, PHASES[k]),
-                     st.integers(0, 3), bits(n), bits(n))
-
-
-# --- binary map ---
-
-def test_to_binary_zx():
-    assert to_binary(parse_pauli("ZX")) == ((1, 0), (0, 1))
-
-
-def test_to_binary_identity():
-    assert to_binary(PauliOperator(0, 0, 0, 3)) == ((0, 0, 0), (0, 0, 0))
-
-
-def test_to_binary_discards_phase():
-    assert to_binary(parse_pauli("-YY")) == ((1, 1), (1, 1))
-
-
-def test_from_binary_examples():
-    assert from_binary((1, 0), (0, 1), 1) == parse_pauli("ZX")
-    assert from_binary((0,) * 4, (0,) * 4, -1) == parse_pauli("-IIII")
-    assert from_binary((1, 1), (1, 1), 1) == parse_pauli("YY")
-
-
-def test_from_binary_length_mismatch():
-    with pytest.raises(ValueError):
-        from_binary((1, 0), (0,), 1)
-
-
-def test_from_binary_bad_phase():
-    with pytest.raises(ValueError):
-        from_binary((0,), (0,), 0.5)
+    masks = st.integers(0, (1 << n) - 1)
+    return st.builds(lambda k, u, v: PauliOperator(k, u, v, n), st.integers(0, 3), masks, masks)
 
 
 # --- product and commutation ---
@@ -79,9 +41,19 @@ def test_multiply_zzi_izz_dense_oracle():
     assert np.array_equal(dense_matrix(prod), dense_matrix(a) @ dense_matrix(b))
 
 
+def test_constructor_checks_phase_and_masks():
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=r"phase exponent must be 0\.\.3"):
+            PauliOperator(k, 0, 0, 1)
+    for u, v in ((2, 0), (0, -1)):
+        with pytest.raises(ValueError, match="z-part and x-part must be 1-bit masks"):
+            PauliOperator(0, u, v, 1)
+
+
 def test_multiply_size_mismatch():
-    with pytest.raises(ValueError):
-        multiply(parse_pauli("X"), parse_pauli("XX"))
+    for fn in (multiply, commutes):
+        with pytest.raises(ValueError, match="size mismatch: 1 vs 2"):
+            fn(parse_pauli("X"), parse_pauli("XX"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -94,11 +66,8 @@ def test_multiply_matches_dense_product(a, b):
 @settings(max_examples=100, deadline=None)
 @given(paulis(3), paulis(3))
 def test_binary_map_is_homomorphism(a, b):
-    ua, va = to_binary(a)
-    ub, vb = to_binary(b)
-    u, v = to_binary(multiply(a, b))
-    assert u == tuple(x ^ y for x, y in zip(ua, ub))
-    assert v == tuple(x ^ y for x, y in zip(va, vb))
+    m = multiply(a, b)
+    assert (m.u, m.v) == (a.u ^ b.u, a.v ^ b.v)
 
 
 def test_commutes_ghz_generators():
@@ -111,8 +80,7 @@ def test_commutes_x_z():
 
 def test_commutes_exhaustive_n2_dense_oracle():
     # all 4096 pairs of phased 2-qubit operators against the Kronecker oracle
-    ops = [from_binary((u0, u1), (v0, v1), phase) for phase in PHASES
-           for u0 in (0, 1) for u1 in (0, 1) for v0 in (0, 1) for v1 in (0, 1)]
+    ops = [PauliOperator(k, u, v, 2) for k in range(4) for u in range(4) for v in range(4)]
     for a in ops:
         da = kron_dense(a)
         assert np.array_equal(dense_matrix(a), da)
@@ -130,41 +98,12 @@ def test_commutes_random_n4_dense_oracle():
         assert commutes(a, b) == np.allclose(da @ db, db @ da)
 
 
-# --- support and restriction ---
+# --- support ---
 
 def test_support_examples():
     assert support(parse_pauli("XZII")) == {0, 1}
     assert support(PauliOperator(0, 0, 0, 5)) == frozenset()
     assert support(parse_pauli("ZXZI")) == {0, 1, 2}
-
-
-def test_restrict_drops_identity_factor():
-    assert restrict(parse_pauli("ZXZI"), {0, 1, 2}) == parse_pauli("ZXZ")
-
-
-def test_restrict_to_support_has_no_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = random_pauli(5, rng)
-        r = restrict(m, support(m))
-        assert all(bits != (0, 0) for bits in zip(*to_binary(r)))
-
-
-def test_restrict_preserves_phase():
-    assert restrict(parse_pauli("-XYZ"), {1}) == parse_pauli("-Y")
-
-
-def test_restrict_out_of_range():
-    with pytest.raises(ValueError):
-        restrict(parse_pauli("XY"), {2})
-
-
-def test_restrict_rejects_non_integer_indices():
-    for omega in ([0.9, 1.2], [0, 1.0], ["0"]):
-        with pytest.raises(ValueError, match="not an integer"):
-            restrict(parse_pauli("XZ"), omega)
-    assert restrict(parse_pauli("XZ"), [np.int64(1)]) == parse_pauli("Z")
-    assert restrict(parse_pauli("-XZ"), []) == from_binary((), (), -1)
 
 
 # --- dense rendering ---
@@ -185,25 +124,25 @@ def test_dense_zx_row_structure():
 def test_unique_nonzero_per_row_at_shifted_column(op):
     # every row i has exactly one nonzero, at column i xor v
     m = dense_matrix(op)
-    v_index = sum(b << (2 - j) for j, b in enumerate(to_binary(op)[1]))
     for i in range(8):
         nz = np.nonzero(m[i])[0]
-        assert list(nz) == [i ^ v_index]
+        assert list(nz) == [i ^ op.v]
         nzc = np.nonzero(m[:, i])[0]
         assert len(nzc) == 1
 
 
 def test_restriction_slices_dense_matrix():
-    # entry (i_w, i_w + v_w) of the restriction equals the full-matrix entry
-    # at any extension of i_w by bits outside the restriction set
+    # entry (i_w, i_w + v_w) of the oracle's restriction, the phase times the
+    # Kronecker factors on omega, equals the full-matrix entry at any
+    # extension of i_w by bits outside the restriction set
     rng = np.random.default_rng(11)
     for _ in range(20):
         op = random_pauli(4, rng)
         omega = sorted(support(op) | {int(rng.integers(0, 4))})
-        sub = dense_matrix(restrict(op, omega))
+        sub = op.phase * kron_on(pauli_factors(op), omega)
         full = dense_matrix(op)
-        v = to_binary(op)[1]
-        v_full = sum(b << (3 - j) for j, b in enumerate(v))
+        v = [bit(op.v, j, 4) for j in range(4)]
+        v_full = op.v
         other = [j for j in range(4) if j not in omega]
         for iw in range(1 << len(omega)):
             iw_bits = [(iw >> (len(omega) - 1 - k)) & 1 for k in range(len(omega))]
@@ -246,6 +185,12 @@ def test_rank_graph_generator_x_block():
     assert f2_rank(stacked[3:]) == 3
 
 
+def test_rank_rejects_non_matrices():
+    for m in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            f2_rank(m)
+
+
 # --- text format ---
 
 def test_parse_format_round_trip():
@@ -261,6 +206,19 @@ def test_parse_rejects_bad_characters():
         parse_pauli("")
 
 
+def test_format_round_trips_every_real_phase_operator():
+    for n in (1, 2, 3):
+        for k in (0, 2):
+            for u in range(1 << n):
+                for v in range(1 << n):
+                    op = PauliOperator(k, u, v, n)
+                    text = format_pauli(op)
+                    assert parse_pauli(text) == op
+                    assert str(op) == text
+    assert format_pauli(PauliOperator(2, 0b011, 0b110, 3)) == "-XYZ"
+
+
 def test_format_rejects_imaginary_phase():
-    with pytest.raises(ValueError):
-        format_pauli(from_binary((0,), (1,), 1j))
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="imaginary phase has no text form"):
+            format_pauli(PauliOperator(k, 0, 1, 1))

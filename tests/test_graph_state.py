@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stabdet.f2_pauli import dense_matrix, format_pauli
+from stabdet.f2_pauli import dense_matrix, format_pauli, parse_pauli
 from stabdet.stabilizer import GeneratorSet, density_matrix, enumerate_group, validate
 from stabdet.graph_state import (
     Graph,
@@ -32,6 +32,8 @@ from conftest import (
 def test_graph_rejects_asymmetric():
     with pytest.raises(ValueError):
         Graph([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="adjacency matrix must be square"):
+        Graph([[0, 1, 0]])
 
 
 def test_graph_rejects_loops():
@@ -51,6 +53,8 @@ def test_graph_from_edges_rejects_non_integer_vertices():
     with pytest.raises(ValueError, match="not an integer"):
         Graph.from_edges(3, [(0, 1.5)])
     assert Graph.from_edges(3, [(0, np.int64(1))]).edges == [(0, 1)]
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for 2 vertices"):
+        Graph.from_edges(2, [(0, 2)])
 
 
 # --- canonical generators ---
@@ -230,6 +234,13 @@ def test_lc_to_graph_round_trip_random():
             group_key(enumerate_group(canonical_generators(graph)))
 
 
+def test_layer_rejects_unknown_gates_and_sizes():
+    with pytest.raises(ValueError, match="unknown gate 'Q'"):
+        LocalCliffordLayer((("Q",),)).conjugate(parse_pauli("X"))
+    with pytest.raises(ValueError, match="size mismatch: 2 vs 1"):
+        LocalCliffordLayer((("H",),)).conjugate(parse_pauli("XX"))
+
+
 def test_lc_to_graph_rejects_partial_set():
     with pytest.raises(ValueError):
         lc_to_graph(GeneratorSet.from_strings(3, ["XXX", "ZZI"]))
@@ -254,6 +265,10 @@ def test_graph_file_rejects_duplicates_and_loops():
         parse_graph_file("3\n1 1\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_graph_file("3\n0 1 2\n")
+    with pytest.raises(ValueError, match="line 2: expected integer endpoints, got '0 a'"):
+        parse_graph_file("3\n0 a\n")
+    with pytest.raises(ValueError, match=r"line 2: edge \(0, 3\) out of range for 3 vertices"):
+        parse_graph_file("3\n0 3\n")
 
 
 def test_graph_file_header_checked_against_cap():

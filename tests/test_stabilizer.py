@@ -12,12 +12,10 @@ from stabdet.f2_pauli import (
     dense_matrix,
     eliminate,
     format_pauli,
-    from_binary,
     multiply,
     parse_pauli,
     row_product,
     support,
-    to_binary,
 )
 from stabdet.stabilizer import (
     GeneratorSet,
@@ -86,7 +84,7 @@ def test_validate_anticommuting():
 
 
 def test_validate_imaginary_phase():
-    report = validate(GeneratorSet((from_binary((0,), (1,), 1j),), 1))
+    report = validate(GeneratorSet((PauliOperator(1, 0, 1, 1),), 1))
     assert not report.hermitian
 
 
@@ -437,11 +435,8 @@ def test_rdm_beyond_enumeration_cap():
     # yet every S_omega inside qubits 0-3 has at most 2^|omega| elements
     rng = np.random.default_rng(40)
     small = random_stabilizer_set(4, rng)
-    pad = (0,) * 36
-    ops = [from_binary(u + pad, v + pad, m.phase)
-           for m in small.generators for u, v in [to_binary(m)]]
-    ops += [from_binary(tuple(int(j == q) for j in range(40)), (0,) * 40)
-            for q in range(4, 40)]
+    ops = [PauliOperator(m.phase_exp, m.u << 36, m.v << 36, 40) for m in small.generators]
+    ops += [PauliOperator(0, 1 << (39 - q), 0, 40) for q in range(4, 40)]
     gens = recombine_generators(GeneratorSet(tuple(ops), 40),
                                 random_invertible_f2(40, rng))
     eye = np.eye(16, dtype=complex)
@@ -511,6 +506,8 @@ def test_row_product_matches_the_multiply_fold(data):
 def test_recombine_singular_raises():
     with pytest.raises(ValueError):
         recombine_generators(GHZ3, np.zeros((3, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="recombination matrix must be 3x3"):
+        recombine_generators(GHZ3, np.eye(2, dtype=np.uint8))
 
 
 # --- minimal support sets ---
@@ -603,6 +600,8 @@ def test_negative_qubit_count_is_refused():
         parse_generator_file("-1\n")
     with pytest.raises(ValueError, match="qubit count must be non-negative"):
         GeneratorSet((), -1)
+    with pytest.raises(ValueError, match="all generators must act on the same qubit count"):
+        GeneratorSet((parse_pauli("X"), parse_pauli("XX")), 2)
 
 
 def test_density_matrix_text_round_trip():
@@ -614,3 +613,16 @@ def test_density_matrix_text_round_trip():
 def test_density_matrix_text_rejects_bad_header():
     with pytest.raises(ValueError):
         parse_density_matrix("4\n1 0 0 0\n")
+    with pytest.raises(ValueError, match="line 3: expected 2 entries, got 1"):
+        parse_density_matrix("dim=2\n1 0\n0\n")
+
+
+@pytest.mark.parametrize("rho, complaint", [
+    (np.eye(2)[:1], "density matrix must be square"),
+    (np.array([[0.5, 0.5], [0, 0.5]]), "matrix is not Hermitian"),
+    (np.eye(2), "trace is not 1"),
+    (np.diag([1.5, -0.5]), "matrix has a negative eigenvalue"),
+])
+def test_check_density_matrix_refusals(rho, complaint):
+    with pytest.raises(ValueError, match=complaint):
+        check_density_matrix(rho)
